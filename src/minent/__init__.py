@@ -23,11 +23,8 @@ from .causality import (
 from .certify import (
     EPS_CERT,
     Certificate,
-    CertificateSystem,
     CertificationError,
-    build_system,
     certify_local_optimum,
-    check_last_one_property,
 )
 from .core import (
     EPS_MARG,
@@ -63,7 +60,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundReport",
     "Certificate",
-    "CertificateSystem",
     "CertificationError",
     "DEFAULT_N_CAP",
     "DimensionError",
@@ -82,9 +78,7 @@ __all__ = [
     "SparseCoupling",
     "VertexSet",
     "bound_report",
-    "build_system",
     "certify_local_optimum",
-    "check_last_one_property",
     "conditionals_from_joint",
     "entropy_lower_bound",
     "enumerate_vertices",

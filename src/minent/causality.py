@@ -30,6 +30,7 @@ from .core import (
     DomainError,
     Marginal,
     extended_entropy,
+    require_finite,
 )
 from .greedy import greedy_coupling, greedy_coupling_two_phase
 
@@ -60,6 +61,8 @@ class JointObservation:
             raise DimensionError("joint observation must be a 2-D matrix")
         if arr.size == 0:
             raise DomainError("joint observation is empty")
+        for i, row in enumerate(arr.tolist(), start=1):
+            require_finite(row, f"joint row {i}")
         if float(arr.min()) < 0.0:
             raise DomainError(f"negative probability {arr.min()!r} in joint")
         total = float(arr.sum())

@@ -1,19 +1,31 @@
 """Local-optimality certificates for greedy couplings.
 
-Every positive assignment in a solver trace contributes one linear
-equation over a stacked vector of per-axis witness values: the equation
-says the witnesses at the chosen states must add up to ``log2(mass) + 1``.
-Because each step exhausts at least one (axis, state) slot that no later
-step touches, every row of the resulting 0/1 matrix owns a column whose
-last 1 sits in that row, which makes the rows linearly independent and the
-system solvable.
+Every positive assignment in a solver trace gives one linear equation over
+per-axis witness values ``u[axis][state]``: the witnesses at the step's
+chosen states must add up to ``log2(mass) + 1``. Each step exhausts at
+least one (axis, state) slot that no later step touches, so every step
+owns a slot whose last use it is. Read backwards, each equation therefore
+brings in one witness not yet fixed: the system is triangular, its rows
+are linearly independent, and back-substitution solves it in
+O(steps * m). The owned witness of each step is set to ``log2(mass) + 1``
+minus the witnesses already fixed at its other slots; every witness that
+no step owns stays 0.
 
-A solution turns into a certificate: each stored mass must equal
-``2 ** (-1 + sum of witnesses at its indices)``, i.e. the coupling's
-nonzero masses factor as a product of per-axis terms. Feasible points with
-that product structure satisfy the stationarity (KKT) conditions of
-entropy minimization over the coupling polytope, and entropy being concave
-they are local minima.
+Independent rows are the proof. The rows are the columns of the
+marginal constraints restricted to the coupling's support, so their rank
+says the support is a vertex of the coupling polytope. A feasible
+direction that kept the support would lie in the kernel of those
+columns, which is zero; every feasible direction away from a vertex
+therefore moves mass onto a cell outside the support. There ``-t*log2 t``
+rises with infinite slope at ``t = 0``, while the cells inside the
+support change the entropy at a finite rate. So entropy strictly
+increases along every feasible direction: each vertex, and thus each
+certified greedy coupling, is a strict local minimum.
+
+The witnesses restate the masses in product form, ``2 ** (-1 + sum of
+witnesses at the cell's states)``, and rebuilding every stored mass from
+them checks the solve: each mass must come back within ``EPS_CERT`` of
+itself, relative to the mass.
 """
 
 from __future__ import annotations
@@ -22,14 +34,12 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-import numpy as np
-
 from .core import DimensionError, DomainError, SparseCoupling
 from .greedy import GreedyStep, GreedyTrace
 
-# Residual and mass-reconstruction tolerance for certificates. Looser than
-# the marginal tolerances: masses near EPS_ZERO carry large-magnitude logs
-# that amplify rounding in the solve.
+# Residual tolerance, and relative mass-reconstruction tolerance, for
+# certificates. Looser than the marginal tolerances: masses near EPS_ZERO
+# carry large-magnitude logs that amplify rounding in the solve.
 EPS_CERT = 1e-8
 
 
@@ -56,33 +66,13 @@ class CertificationError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class CertificateSystem:
-    """The linear system built from a trace: one row per positive step.
-
-    ``matrix`` is 0/1 with shape (steps, n*m); the row for a step has ones
-    exactly at the flattened (axis, state) slots of its chosen tuple,
-    column ``(axis - 1) * n + state - 1``. ``rhs[j]`` is
-    ``log2(mass_j) + 1``.
-    """
-
-    matrix: np.ndarray
-    rhs: np.ndarray
-    n: int
-    m: int
-    tuples: tuple[tuple[int, ...], ...]
-
-    @property
-    def num_rows(self) -> int:
-        return int(self.matrix.shape[0])
-
-
-@dataclass(frozen=True)
 class Certificate:
     """Witness vectors proving a coupling's masses factor per axis.
 
-    ``u`` holds one witness vector per axis; ``witnesses`` maps every
-    stored cell to its reconstructed mass ``2 ** (-1 + sum of u at the
-    cell's states)``. Construction enforces that both the system residual
+    ``u`` holds one witness vector per axis, as back-substitution left it:
+    witnesses that no step owns are 0. ``witnesses`` maps every stored
+    cell to its reconstructed mass ``2 ** (-1 + sum of u at the cell's
+    states)``. Construction enforces that both the system residual
     and the worst reconstruction error are within ``EPS_CERT``.
     """
 
@@ -121,59 +111,6 @@ class Certificate:
         }
 
 
-def build_system(
-    trace: GreedyTrace | tuple[GreedyStep, ...], n: int, m: int
-) -> CertificateSystem:
-    """Assemble the witness system for a trace of positive-mass steps.
-
-    The caller must drop zero-mass sweep rounds first (see
-    ``GreedyTrace.positive_steps``); a zero or negative mass here is a
-    domain error since its log is undefined.
-    """
-    steps = trace.steps if isinstance(trace, GreedyTrace) else tuple(trace)
-    if not steps:
-        raise DomainError("cannot build a system from an empty trace")
-    matrix = np.zeros((len(steps), n * m), dtype=float)
-    rhs = np.empty(len(steps), dtype=float)
-    tuples = []
-    for row, step in enumerate(steps):
-        if step.mass <= 0.0:
-            raise DomainError(
-                f"step {step.iteration} has non-positive mass {step.mass!r}"
-            )
-        if len(step.chosen_tuple) != m:
-            raise DimensionError(
-                f"step tuple {step.chosen_tuple} does not have {m} axes"
-            )
-        for axis, state in enumerate(step.chosen_tuple):
-            if not 1 <= state <= n:
-                raise DimensionError(f"state {state} out of range 1..{n}")
-            matrix[row, axis * n + state - 1] = 1.0
-        rhs[row] = math.log2(step.mass) + 1.0
-        tuples.append(step.chosen_tuple)
-    return CertificateSystem(matrix, rhs, n, m, tuple(tuples))
-
-
-def check_last_one_property(system: CertificateSystem) -> bool:
-    """True when every row owns a column whose final 1 sits in that row.
-
-    This is the structural consequence of greedy assignment (each step
-    permanently exhausts some slot) and implies the rows are linearly
-    independent, hence the system is consistent for any right-hand side.
-    """
-    matrix = system.matrix
-    rows = matrix.shape[0]
-    for j in range(rows):
-        cols = np.flatnonzero(matrix[j])
-        if cols.size == 0:
-            return False
-        if j == rows - 1:
-            continue
-        if not any(not matrix[j + 1 :, k].any() for k in cols):
-            return False
-    return True
-
-
 def _trace_matches_coupling(
     steps: tuple[GreedyStep, ...], coupling: SparseCoupling
 ) -> bool:
@@ -191,13 +128,16 @@ def certify_local_optimum(
 ) -> Certificate:
     """Certify a solver output as a local optimum of entropy minimization.
 
-    Solves the witness system by least squares (the system is consistent
-    and under- or exactly determined, so the residual is pure rounding)
-    and verifies that the witnesses reconstruct every stored mass. Raises
+    Solves the witness system by back-substitution over the positive steps
+    in reverse order, in O(steps * m), and verifies that the witnesses
+    reconstruct every stored mass. Each step owns the lowest-axis slot of
+    its tuple that no later step uses; its witness there is fixed by its
+    equation, and witnesses no step owns are 0. Raises
     :class:`CertificationError` when the trace does not match the
-    coupling, the structural column property fails, the system residual
-    exceeds ``EPS_CERT`` relative to the right-hand side, or any mass
-    reconstructs outside ``EPS_CERT``.
+    coupling, a step owns no slot (its row would depend on later rows),
+    the system residual exceeds ``EPS_CERT`` relative to the right-hand
+    side, or any mass reconstructs off by more than ``EPS_CERT`` times
+    itself.
     """
     positive = trace.positive_steps()
     if not positive:
@@ -209,18 +149,34 @@ def certify_local_optimum(
         raise DimensionError("certification requires equal cardinalities per axis")
     n = cards.pop()
     m = coupling.num_vars
-    system = build_system(positive, n, m)
-    if not check_last_one_property(system):
-        raise CertificationError(
-            "trace lacks the exhausted-slot structure; rows may be dependent"
+    # Slots come from the tuples, never from the recorded saturated_axes,
+    # so a saved trace cannot claim an exhausted slot it does not have.
+    last_use: dict[tuple[int, int], int] = {}
+    for row, step in enumerate(positive):
+        for slot in enumerate(step.chosen_tuple):
+            last_use[slot] = row
+    rhs = [math.log2(step.mass) + 1.0 for step in positive]
+    u = [[0.0] * n for _ in range(m)]
+    for row in range(len(positive) - 1, -1, -1):
+        tup = positive[row].chosen_tuple
+        owned = next(
+            (axis for axis, state in enumerate(tup) if last_use[axis, state] == row),
+            None,
         )
-    solution, *_ = np.linalg.lstsq(system.matrix, system.rhs, rcond=None)
-    raw_residual = float(np.linalg.norm(system.matrix @ solution - system.rhs))
-    residual = raw_residual / max(1.0, float(np.linalg.norm(system.rhs)))
-    witness = tuple(
-        tuple(float(v) for v in solution[axis * n : (axis + 1) * n])
-        for axis in range(m)
-    )
+        if owned is None:
+            raise CertificationError(
+                f"step {positive[row].iteration} exhausts no slot that later "
+                "steps leave alone; rows may be dependent"
+            )
+        fixed = sum(u[axis][state - 1] for axis, state in enumerate(tup) if axis != owned)
+        u[owned][tup[owned] - 1] = rhs[row] - fixed
+    witness = tuple(tuple(vec) for vec in u)
+    sums = [
+        sum(u[axis][state - 1] for axis, state in enumerate(step.chosen_tuple))
+        for step in positive
+    ]
+    raw_residual = math.sqrt(math.fsum((total - b) ** 2 for total, b in zip(sums, rhs)))
+    residual = raw_residual / max(1.0, math.sqrt(math.fsum(b * b for b in rhs)))
     if residual > EPS_CERT:
         raise CertificationError(
             f"witness system residual {residual:.3e} exceeds {EPS_CERT}",
@@ -229,14 +185,17 @@ def certify_local_optimum(
         )
     witnesses: dict[tuple[int, ...], float] = {}
     worst = 0.0
-    for tup, mass in coupling.entries.items():
-        exponent = -1.0 + sum(witness[axis][state - 1] for axis, state in enumerate(tup))
-        rebuilt = 2.0 ** exponent
-        witnesses[tup] = rebuilt
-        worst = max(worst, abs(rebuilt - mass))
-    if worst > EPS_CERT:
+    worst_relative = 0.0
+    for step, total in zip(positive, sums):
+        mass = coupling.entries[step.chosen_tuple]
+        rebuilt = 2.0 ** (total - 1.0)
+        witnesses[step.chosen_tuple] = rebuilt
+        error = abs(rebuilt - mass)
+        worst = max(worst, error)
+        worst_relative = max(worst_relative, error / mass)
+    if worst_relative > EPS_CERT:
         raise CertificationError(
-            f"mass reconstruction error {worst:.3e} exceeds {EPS_CERT}",
+            f"mass reconstruction error {worst_relative:.3e} of the mass exceeds {EPS_CERT}",
             residual_norm=residual,
             max_reconstruction_error=worst,
             witness=witness,

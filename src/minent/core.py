@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -31,11 +31,24 @@ class DimensionError(ValueError):
     """Inputs that must share a length or shape do not."""
 
 
+def require_finite(values: Sequence[float], what: str) -> None:
+    """Raise DomainError naming the first NaN or infinite entry of ``values``.
+
+    NaN slips past every ``<`` and ``>`` check, so this runs before them.
+    """
+    if all(map(math.isfinite, values)):
+        return
+    position, bad = next(
+        (i, v) for i, v in enumerate(values, start=1) if not math.isfinite(v)
+    )
+    raise DomainError(f"{what} has non-finite entry {bad!r} at position {position}")
+
+
 @dataclass(frozen=True)
 class Marginal:
     """A discrete probability distribution over states 1..n.
 
-    Entries must be nonnegative and sum to 1 within ``EPS_SUM``.
+    Entries must be finite, nonnegative and sum to 1 within ``EPS_SUM``.
     """
 
     probs: tuple[float, ...]
@@ -43,6 +56,7 @@ class Marginal:
     def __post_init__(self) -> None:
         if len(self.probs) == 0:
             raise DomainError("marginal needs at least one state")
+        require_finite(self.probs, "marginal")
         low = min(self.probs)
         if low < 0.0:
             raise DomainError(f"negative probability {low!r} in marginal")
@@ -73,7 +87,7 @@ class ResidualVector:
     """A sub-probability vector: nonnegative masses with a recorded total.
 
     Unlike :class:`Marginal` the masses need not sum to 1; ``total`` must
-    equal the entry sum within ``EPS_SUM``.
+    be finite and equal the entry sum within ``EPS_SUM``.
     """
 
     masses: tuple[float, ...]
@@ -82,6 +96,9 @@ class ResidualVector:
     def __post_init__(self) -> None:
         if len(self.masses) == 0:
             raise DomainError("residual vector needs at least one entry")
+        require_finite(self.masses, "residual vector")
+        if not math.isfinite(self.total):
+            raise DomainError(f"residual vector total {self.total!r} is not finite")
         low = min(self.masses)
         if low < 0.0:
             raise DomainError(f"negative mass {low!r} in residual vector")
@@ -143,6 +160,8 @@ class SparseCoupling:
             for axis, state in enumerate(tup):
                 if not 1 <= state <= self.cardinalities[axis]:
                     raise DomainError(f"state {state} out of range on axis {axis + 1}")
+            if not math.isfinite(mass):
+                raise DomainError(f"non-finite mass {mass!r} at {tup}")
             if mass <= EPS_ZERO:
                 raise DomainError(f"mass {mass!r} at {tup} is not above {EPS_ZERO}")
         total = math.fsum(self.entries.values())
@@ -184,11 +203,14 @@ def extended_entropy(values: MassLike) -> float:
 
     Accepts a :class:`Marginal`, a :class:`ResidualVector`, a
     :class:`SparseCoupling` (its mass multiset), a mapping from indices to
-    masses, or any iterable of floats. The input does not have to sum to 1.
+    masses, or any iterable of floats. The input does not have to sum to 1,
+    but every entry must be finite.
     """
     arr = _mass_array(values)
     if arr.size == 0:
         return 0.0
+    if not np.isfinite(arr).all():
+        require_finite(arr.tolist(), "entropy input")
     if float(arr.min()) < 0.0:
         raise DomainError(f"negative entry {arr.min()!r} passed to extended_entropy")
     pos = arr[arr > 0.0]

@@ -71,16 +71,16 @@ def _coerce_marginals(marginals: Sequence[Marginal | Iterable[float]]) -> np.nda
             f"marginal lengths differ: {[len(p) for p in ms]}"
         )
     resid = np.array([p.probs for p in ms], dtype=float)
-    # Entries below EPS_ZERO are unassignable; zero them up front so every
-    # residual cell is either exactly 0 or strictly above EPS_ZERO.
-    resid[resid < EPS_ZERO] = 0.0
+    # Entries at or below EPS_ZERO are unassignable; zero them up front so
+    # every residual cell is either exactly 0 or strictly above EPS_ZERO.
+    resid[resid <= EPS_ZERO] = 0.0
     return resid
 
 
 def _subtract(resid: np.ndarray, idx: np.ndarray, mass: float) -> None:
     for k, j in enumerate(idx):
         left = resid[k, j] - mass
-        resid[k, j] = 0.0 if left < EPS_ZERO else left
+        resid[k, j] = 0.0 if left <= EPS_ZERO else left
 
 
 def _saturated(resid: np.ndarray, idx: np.ndarray) -> frozenset[tuple[int, int]]:

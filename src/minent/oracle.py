@@ -56,7 +56,7 @@ class VertexSet:
 
 
 def _snap(value: float) -> float:
-    return 0.0 if value < EPS_ZERO else value
+    return 0.0 if value <= EPS_ZERO else value
 
 
 def _collect(

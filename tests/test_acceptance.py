@@ -21,9 +21,7 @@ from scipy.stats import binomtest
 from minent import (
     JointObservation,
     bound_report,
-    build_system,
     certify_local_optimum,
-    check_last_one_property,
     exact_min_entropy_2var,
     extended_entropy,
     greedy_coupling,
@@ -33,6 +31,8 @@ from minent import (
     outer_product_entropy_identity,
     special_family,
 )
+
+from reference_certify import build_system, check_last_one_property
 
 CORPUS_SEED = 20260808
 # (m, n) -> instance count; n=5 two-marginal cases are few because each

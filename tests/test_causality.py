@@ -52,6 +52,11 @@ class TestJointObservation:
         with pytest.raises(DomainError):
             JointObservation.from_matrix([[0.3, 0.1], [0.2, 0.2]])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(DomainError, match=f"joint row 2 has non-finite entry {bad!r}"):
+            JointObservation.from_matrix([[0.25, 0.25], [0.5, bad]])
+
     def test_prunes_unobserved_states_with_warning(self):
         with pytest.warns(UserWarning):
             obs = JointObservation.from_matrix(

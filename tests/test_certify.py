@@ -1,24 +1,26 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minent import (
-    CertificateSystem,
+    EPS_CERT,
     CertificationError,
     DomainError,
     GreedyStep,
     GreedyTrace,
     SparseCoupling,
-    build_system,
     certify_local_optimum,
-    check_last_one_property,
+    extended_entropy,
     greedy_coupling,
     greedy_coupling_two_phase,
 )
 
-from conftest import marginal_families
+from conftest import marginal_families, tied_and_tiny_families
+from reference_certify import CertificateSystem, build_system, check_last_one_property
 
 SOLVERS = [greedy_coupling, greedy_coupling_two_phase]
 
@@ -179,7 +181,7 @@ class TestCertifyLocalOptimum:
         assert cert.max_reconstruction_error <= 1e-8
 
     @pytest.mark.parametrize("solver", SOLVERS)
-    @given(family=marginal_families())
+    @given(family=st.one_of(marginal_families(), tied_and_tiny_families()))
     @settings(max_examples=80, deadline=None)
     def test_system_never_overdetermined_and_full_rank(self, solver, family):
         m, n = len(family), len(family[0])
@@ -195,3 +197,112 @@ class TestCertifyLocalOptimum:
         assert set(payload) == {"u", "residual_norm", "max_reconstruction_error"}
         assert len(payload["u"]) == 2
         assert len(payload["u"][0]) == 2
+
+
+class TestAgainstDenseReference:
+    @pytest.mark.parametrize("solver", SOLVERS)
+    @given(family=st.one_of(marginal_families(), tied_and_tiny_families()))
+    @settings(max_examples=150, deadline=None)
+    def test_back_substituted_witness_solves_dense_system(self, solver, family):
+        m, n = len(family), len(family[0])
+        coupling, trace = solver(family)
+        cert = certify_local_optimum(coupling, trace)
+        system = build_system(trace.positive_steps(), n, m)
+        u = np.concatenate([np.asarray(vec) for vec in cert.u])
+        gap = np.linalg.norm(system.matrix @ u - system.rhs)
+        assert gap <= EPS_CERT * max(1.0, np.linalg.norm(system.rhs))
+        relative = max(
+            abs(cert.witnesses[tup] - mass) / mass
+            for tup, mass in coupling.entries.items()
+        )
+        assert relative <= 1e-12
+
+    def test_unowned_witnesses_are_zero(self):
+        # steps (1,1) 0.5, (2,2) 0.4, (1,2) 0.1: slot (2, 2) is last used
+        # by step 3, which owns its lower-axis slot (1, 1) instead, so the
+        # witness at axis 2, state 2 is owned by no step and stays 0
+        coupling, trace = greedy_coupling([[0.6, 0.4], [0.5, 0.5]])
+        cert = certify_local_optimum(coupling, trace)
+        b = [math.log2(mass) + 1.0 for mass in (0.5, 0.4, 0.1)]
+        assert cert.u[1][1] == 0.0
+        assert cert.u[0][0] == pytest.approx(b[2], abs=1e-12)
+        assert cert.u[0][1] == pytest.approx(b[1], abs=1e-12)
+        assert cert.u[1][0] == pytest.approx(b[0] - b[2], abs=1e-12)
+
+    def test_reconstruction_check_is_relative(self):
+        # the trace's mass for the tiny cell is within the 1e-12 matching
+        # tolerance and rebuilds within 1e-12 absolute, far inside
+        # EPS_CERT, yet it is 30% off the stored mass
+        entries = {(1, 1): 0.5, (2, 2): 0.5 - 3e-12, (2, 1): 3e-12}
+        coupling = SparseCoupling(2, (2, 2), entries)
+        traced = dict(entries)
+        traced[(2, 1)] = 3.9e-12
+        trace = GreedyTrace(
+            tuple(step(k + 1, tup, mass) for k, (tup, mass) in enumerate(traced.items()))
+        )
+        with pytest.raises(CertificationError, match="reconstruction") as info:
+            certify_local_optimum(coupling, trace)
+        assert info.value.max_reconstruction_error < 1e-12
+
+    def test_memory_at_n2000_m2(self):
+        rng = np.random.default_rng(20260808)
+        coupling, trace = greedy_coupling(rng.dirichlet(np.ones(2000), size=2))
+        tracemalloc.start()
+        try:
+            certify_local_optimum(coupling, trace)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the dense (steps, n*m) system alone would take ~128 MB here
+        assert peak < 10 * 2**20
+
+
+def _northwest_corner(p, q, rows, cols):
+    """The vertex the north-west corner rule builds in the given state orders."""
+    a, b = p[rows].copy(), q[cols].copy()
+    vertex = np.zeros((len(p), len(q)))
+    i = j = 0
+    while i < len(a) and j < len(b):
+        t = min(a[i], b[j])
+        vertex[rows[i], cols[j]] += t
+        a[i] -= t
+        b[j] -= t
+        if a[i] <= b[j]:
+            i += 1
+        else:
+            j += 1
+    return vertex
+
+
+class TestVertexIsStrictLocalMinimum:
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_entropy_rises_along_feasible_directions(self, solver):
+        # Every feasible direction at P is a multiple of Q - P for some
+        # coupling Q; Q is drawn as a random mixture of the independent
+        # coupling and north-west-corner vertices. Q - P has zero row and
+        # column sums and is nonnegative off P's support.
+        rng = np.random.default_rng(20260808)
+        checked = 0
+        for _ in range(150):
+            n = int(rng.integers(2, 5))
+            p, q = rng.dirichlet(np.ones(n), size=2)
+            coupling, trace = solver([p, q])
+            certify_local_optimum(coupling, trace)
+            joint = np.zeros((n, n))
+            for (i, j), mass in coupling.entries.items():
+                joint[i - 1, j - 1] = mass
+            h = extended_entropy(joint.ravel())
+            for _ in range(4):
+                corners = [np.outer(p, q)] + [
+                    _northwest_corner(p, q, rng.permutation(n), rng.permutation(n))
+                    for _ in range(3)
+                ]
+                weights = rng.dirichlet(np.ones(len(corners)))
+                direction = sum(w * c for w, c in zip(weights, corners)) - joint
+                assert np.abs(direction.sum(axis=0)).max() <= 1e-12
+                assert np.abs(direction.sum(axis=1)).max() <= 1e-12
+                assert direction[joint == 0.0].min() >= 0.0
+                for eps in (1e-6, 1e-9):
+                    assert extended_entropy((joint + eps * direction).ravel()) > h
+                checked += 1
+        assert checked == 600

@@ -264,6 +264,30 @@ class TestGenerate:
         assert doc["entropy_bits"] == pytest.approx(expected, abs=1e-9)
 
 
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("command", ["couple", "certify", "bound"])
+    @pytest.mark.parametrize(
+        "json_token, csv_token, shown",
+        [("NaN", "nan", "nan"), ("Infinity", "inf", "inf"), ("-Infinity", "-inf", "-inf")],
+    )
+    def test_exit_2_naming_the_entry(self, tmp_path, capsys, command, json_token, csv_token, shown):
+        files = [
+            write(tmp_path, "p.json", f'{{"marginals": [[0.5, 0.5], [{json_token}, 1.0]]}}'),
+            write(tmp_path, "p.csv", f"0.5,0.5\n{csv_token},1.0\n"),
+        ]
+        for path in files:
+            code, out, err = run_cli(capsys, command, path)
+            assert code == 2
+            assert out == ""
+            assert f"marginal has non-finite entry {shown} at position 1" in err
+
+    def test_infer_exit_2(self, tmp_path, capsys):
+        path = write(tmp_path, "joint.csv", "0.3,nan\n0.2,0.4\n")
+        code, _, err = run_cli(capsys, "infer", path)
+        assert code == 2
+        assert "joint row 1 has non-finite entry nan at position 2" in err
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",

@@ -127,6 +127,29 @@ class TestExtendedEntropy:
         )
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
+class TestNonFiniteRejected:
+    def test_marginal(self, bad):
+        with pytest.raises(DomainError, match=f"marginal has non-finite entry {bad!r} at position 2"):
+            Marginal.of([0.5, bad, 0.5])
+
+    def test_residual_vector_entry(self, bad):
+        with pytest.raises(DomainError, match=f"non-finite entry {bad!r} at position 1"):
+            ResidualVector.of([bad, 0.2])
+
+    def test_residual_vector_total(self, bad):
+        with pytest.raises(DomainError, match="total"):
+            ResidualVector((0.2, 0.1), bad)
+
+    def test_sparse_coupling_mass(self, bad):
+        with pytest.raises(DomainError, match=f"non-finite mass {bad!r} at \\(1, 1\\)"):
+            SparseCoupling(2, (2, 2), {(1, 1): bad, (2, 2): 0.5})
+
+    def test_extended_entropy(self, bad):
+        with pytest.raises(DomainError, match=f"non-finite entry {bad!r} at position 1"):
+            extended_entropy([bad, 1.0])
+
+
 class TestSortDecreasing:
     def test_worked_example(self):
         sorted_p, perm = sort_decreasing(Marginal.of([0.2, 0.5, 0.3]))

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minent import (
+    EPS_ZERO,
     DimensionError,
     DomainError,
     Marginal,
@@ -83,6 +84,12 @@ class TestWorkedInstances:
         assert len(trace.steps) == 2
         assert trace.steps[1].mass == 0.0
         assert trace.positive_steps() == trace.steps[:1]
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_mass_exactly_eps_zero_is_snapped(self, solver):
+        # a state holding exactly EPS_ZERO is dust, not a coupling cell
+        coupling, _ = solver([[0.5, 0.5], [1.0 - EPS_ZERO, EPS_ZERO]])
+        assert set(coupling.entries) == {(1, 1), (2, 1)}
 
     def test_single_state_marginals(self):
         coupling, trace = greedy_coupling([[1.0], [1.0]])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from minent import (
+    EPS_ZERO,
     DimensionError,
     DomainError,
     SizeCapError,
@@ -87,6 +88,10 @@ class TestEnumerateVertices:
         vertex_set = enumerate_vertices([1.0], [1.0])
         assert len(vertex_set.vertices) == 1
         assert vertex_set.best_entropy == 0.0
+
+    def test_mass_exactly_eps_zero_is_snapped(self):
+        vertex_set = enumerate_vertices([0.5, 0.5], [1.0 - EPS_ZERO, EPS_ZERO])
+        assert {v.support() for v in vertex_set.vertices} == {((1, 1), (2, 1))}
 
     def test_equal_uniform_pair(self):
         vertex_set = enumerate_vertices([0.5, 0.5], [0.5, 0.5])
