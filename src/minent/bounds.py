@@ -36,6 +36,7 @@ from .core import (
     DomainError,
     Marginal,
     ResidualVector,
+    coerce_marginals,
     extended_entropy,
     sort_decreasing,
     total_variation_sorted,
@@ -95,12 +96,7 @@ def bound_report(
     ``achieved`` (a solver's coupling entropy) is carried through into the
     report when supplied.
     """
-    ms = [p if isinstance(p, Marginal) else Marginal.of(p) for p in marginals]
-    if len(ms) < 2:
-        raise DomainError("need at least two marginals for a bound report")
-    n = len(ms[0])
-    if any(len(p) != n for p in ms):
-        raise DimensionError(f"marginal lengths differ: {[len(p) for p in ms]}")
+    ms = coerce_marginals(marginals, "need at least two marginals for a bound report")
     m = len(ms)
     sorted_ms = tuple(sort_decreasing(p)[0] for p in ms)
     arr = np.array([p.probs for p in sorted_ms], dtype=float)

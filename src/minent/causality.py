@@ -32,12 +32,7 @@ from .core import (
     extended_entropy,
     require_finite,
 )
-from .greedy import greedy_coupling, greedy_coupling_two_phase
-
-_SOLVERS = {
-    "alg1": greedy_coupling,
-    "alg2": greedy_coupling_two_phase,
-}
+from .greedy import SOLVERS
 
 
 @dataclass(frozen=True)
@@ -179,9 +174,9 @@ def exogenous_entropy_estimate(
     as the entropy of an exogenous input independent of the conditioning
     variable.
     """
-    if solver not in _SOLVERS:
+    if solver not in SOLVERS:
         raise DomainError(f"unknown solver {solver!r}; use 'alg1' or 'alg2'")
-    coupling, _ = _SOLVERS[solver](conditionals)
+    coupling, _ = SOLVERS[solver](conditionals)
     return extended_entropy(coupling)
 
 

@@ -33,13 +33,12 @@ from .core import (
     DomainError,
     Marginal,
     SparseCoupling,
+    coerce_marginals,
     extended_entropy,
     marginalize,
 )
-from .greedy import GreedyStep, GreedyTrace, greedy_coupling, greedy_coupling_two_phase
+from .greedy import SOLVERS, GreedyStep, GreedyTrace
 from .oracle import SizeCapError, exact_min_entropy_2var
-
-_SOLVERS = {"1": greedy_coupling, "2": greedy_coupling_two_phase}
 
 
 def _round12(value: float) -> float:
@@ -86,8 +85,8 @@ def _parse_rows(text: str, key: str) -> list[list[float]]:
     return [[float(v) for v in row] for row in rows]
 
 
-def _load_marginals(path: str) -> list[Marginal]:
-    return [Marginal.of(row) for row in _parse_rows(_read_text(path), "marginals")]
+def _load_marginals(path: str) -> tuple[Marginal, ...]:
+    return coerce_marginals(_parse_rows(_read_text(path), "marginals"))
 
 
 def _entries_payload(coupling: SparseCoupling) -> list[dict]:
@@ -111,7 +110,7 @@ def _trace_payload(trace: GreedyTrace) -> list[dict]:
 
 def cmd_couple(args: argparse.Namespace) -> int:
     marginals = _load_marginals(args.input)
-    coupling, trace = _SOLVERS[args.alg](marginals)
+    coupling, trace = SOLVERS["alg" + args.alg](marginals)
     payload = {
         "entries": _entries_payload(coupling),
         "entropy_bits": extended_entropy(coupling),
@@ -125,17 +124,13 @@ def cmd_couple(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_run_file(path: str, marginals: list[Marginal]):
+def _load_run_file(path: str, marginals: tuple[Marginal, ...]):
     """Rebuild a (coupling, trace) pair from a ``couple --trace`` output file."""
     doc = json.loads(_read_text(path))
     if "entries" not in doc or "trace" not in doc:
         raise DomainError("run file needs both 'entries' and 'trace' fields")
     n = len(marginals[0])
     m = len(marginals)
-    entries = {
-        tuple(int(i) for i in item["indices"]): float(item["mass"])
-        for item in doc["entries"]
-    }
     order = tuple(
         (tuple(int(i) for i in item["indices"]), float(item["mass"]))
         for item in doc["entries"]
@@ -153,13 +148,13 @@ def _load_run_file(path: str, marginals: list[Marginal]):
     )
     boundary = doc.get("phase_boundary")
     try:
-        coupling = SparseCoupling(m, (n,) * m, entries, order)
+        coupling = SparseCoupling(m, (n,) * m, dict(order), order)
     except (DomainError, DimensionError) as exc:
         raise CertificationError(f"run file does not encode a coupling: {exc}")
     return coupling, GreedyTrace(steps, boundary)
 
 
-def _check_feasible(coupling: SparseCoupling, marginals: list[Marginal]) -> None:
+def _check_feasible(coupling: SparseCoupling, marginals: tuple[Marginal, ...]) -> None:
     for axis, marginal in enumerate(marginals, start=1):
         implied = marginalize(coupling, axis)
         worst = max(abs(a - b) for a, b in zip(implied, marginal.probs))
@@ -174,7 +169,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     if args.trace_in:
         coupling, trace = _load_run_file(args.trace_in, marginals)
     else:
-        coupling, trace = _SOLVERS[args.alg](marginals)
+        coupling, trace = SOLVERS["alg" + args.alg](marginals)
     _check_feasible(coupling, marginals)
     certificate = certify_local_optimum(coupling, trace)
     _emit({"local_optimum_certified": True, **certificate.to_dict()})
@@ -183,7 +178,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 def cmd_bound(args: argparse.Namespace) -> int:
     marginals = _load_marginals(args.input)
-    coupling, _ = _SOLVERS[args.alg](marginals)
+    coupling, _ = SOLVERS["alg" + args.alg](marginals)
     achieved = extended_entropy(coupling)
     report = bound_report(marginals, achieved=achieved)
     payload = report.to_dict()
@@ -298,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="input holds one 'x,y' sample per row instead of a matrix",
     )
-    infer.add_argument("--solver", choices=["alg1", "alg2"], default="alg2")
+    infer.add_argument("--solver", choices=list(SOLVERS), default="alg2")
     infer.set_defaults(func=cmd_infer)
 
     generate = sub.add_parser("generate", help="emit a reproducible problem file")

@@ -82,6 +82,32 @@ class Marginal:
         return np.asarray(self.probs, dtype=float)
 
 
+def coerce_marginals(
+    marginals: Iterable[Marginal | Iterable[float]],
+    too_few: str = "need at least two marginals to couple",
+    min_count: int = 2,
+) -> tuple[Marginal, ...]:
+    """Validate marginals that are to be coupled together.
+
+    Needs at least ``min_count`` marginals of one length whose ``math.fsum``
+    totals lie within ``EPS_MARG / 2`` of each other: a solver stops once
+    one marginal is drained and strands the difference in the others.
+    """
+    ms = tuple(p if isinstance(p, Marginal) else Marginal.of(p) for p in marginals)
+    if len(ms) < min_count:
+        raise DomainError(too_few)
+    lengths = [len(p) for p in ms]
+    if any(length != lengths[0] for length in lengths):
+        raise DimensionError(f"marginal lengths differ: {lengths}")
+    totals = [math.fsum(p.probs) for p in ms]
+    if max(totals) - min(totals) > EPS_MARG / 2:
+        raise DomainError(
+            f"marginal totals differ: {min(totals)!r} vs {max(totals)!r}, "
+            f"more than {EPS_MARG / 2} apart"
+        )
+    return ms
+
+
 @dataclass(frozen=True)
 class ResidualVector:
     """A sub-probability vector: nonnegative masses with a recorded total.

@@ -6,6 +6,12 @@ those picks to one joint cell, subtracting it everywhere. The two-phase
 variant first sweeps every state of every marginal exactly once, then
 finishes with the same update loop on whatever mass remains.
 
+The sweep never changes a state before visiting it, so its masses are
+``bound_report``'s ``pointwise_min`` and the update loop receives the
+report's residuals ``l_j``. That loop keeps one max-heap per marginal
+keyed ``(-mass, state)``, so ties go to the lowest state. Cost:
+O(n*m*log n + steps*m*log n) with ``steps <= n*m - m + 1``.
+
 Both solvers record a full :class:`GreedyTrace`; the trace carries the
 structural information the ``certify`` module turns into a
 local-optimality certificate.
@@ -13,18 +19,11 @@ local-optimality certificate.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from .core import (
-    EPS_ZERO,
-    DimensionError,
-    DomainError,
-    Marginal,
-    SparseCoupling,
-)
+from .core import EPS_ZERO, Marginal, SparseCoupling, coerce_marginals
 
 
 @dataclass(frozen=True)
@@ -61,61 +60,88 @@ class GreedyTrace:
         return tuple(s for s in self.steps if s.mass > 0.0)
 
 
-def _coerce_marginals(marginals: Sequence[Marginal | Iterable[float]]) -> np.ndarray:
-    ms = [p if isinstance(p, Marginal) else Marginal.of(p) for p in marginals]
-    if len(ms) < 2:
-        raise DomainError("need at least two marginals to couple")
-    n = len(ms[0])
-    if any(len(p) != n for p in ms):
-        raise DimensionError(
-            f"marginal lengths differ: {[len(p) for p in ms]}"
-        )
-    resid = np.array([p.probs for p in ms], dtype=float)
-    # Entries at or below EPS_ZERO are unassignable; zero them up front so
-    # every residual cell is either exactly 0 or strictly above EPS_ZERO.
-    resid[resid <= EPS_ZERO] = 0.0
-    return resid
-
-
-def _subtract(resid: np.ndarray, idx: np.ndarray, mass: float) -> None:
-    for k, j in enumerate(idx):
-        left = resid[k, j] - mass
-        resid[k, j] = 0.0 if left <= EPS_ZERO else left
-
-
-def _saturated(resid: np.ndarray, idx: np.ndarray) -> frozenset[tuple[int, int]]:
-    return frozenset(
-        (k + 1, int(j) + 1) for k, j in enumerate(idx) if resid[k, j] == 0.0
-    )
+def _sweep(
+    resid: list[list[float]],
+    entries: dict[tuple[int, ...], float],
+    steps: list[GreedyStep],
+) -> None:
+    """Phase one: round t assigns the minimum of every marginal's t-th largest mass."""
+    n = len(resid[0])
+    # reverse=True keeps the sort stable: equal masses stay in state order
+    ranks = [sorted(range(n), key=row.__getitem__, reverse=True) for row in resid]
+    for cell in zip(*ranks):
+        mass = min(row[j] for row, j in zip(resid, cell))
+        tup = tuple(j + 1 for j in cell)
+        if mass > 0.0:
+            if tup in entries:
+                raise RuntimeError(f"greedy solver revisited cell {tup}")
+            entries[tup] = mass
+        saturated = []
+        for axis, (row, j) in enumerate(zip(resid, cell), start=1):
+            left = row[j] - mass
+            row[j] = 0.0 if left <= EPS_ZERO else left
+            if row[j] == 0.0:
+                saturated.append((axis, j + 1))
+        steps.append(GreedyStep(len(steps) + 1, tup, mass, frozenset(saturated)))
 
 
 def _update_until_drained(
-    resid: np.ndarray,
+    resid: list[list[float]],
     entries: dict[tuple[int, ...], float],
-    order: list[tuple[tuple[int, ...], float]],
     steps: list[GreedyStep],
 ) -> None:
     """Run pick-max/assign-min rounds until some marginal is exhausted.
 
-    Termination watches the smallest marginal total: all totals agree up
-    to rounding, and once any marginal is drained the rest hold only dust.
+    Every residual is 0 or above EPS_ZERO, so a marginal is exhausted when
+    its heap of nonzero residuals is empty; the others then hold at most
+    the EPS_MARG / 2 by which ingest lets the totals differ.
     """
-    m, n = resid.shape
+    m, n = len(resid), len(resid[0])
+    heaps = [[(-v, j) for j, v in enumerate(row, start=1) if v > 0.0] for row in resid]
+    for heap in heaps:
+        heapq.heapify(heap)
     limit = n * m - m + 1
-    while float(resid.sum(axis=1).min()) > EPS_ZERO:
+    while all(heaps):
         if len(steps) >= limit:
             raise RuntimeError(
                 f"greedy solver exceeded the {limit}-step bound for n={n}, m={m}"
             )
-        idx = resid.argmax(axis=1)  # ties resolve to the lowest state index
-        mass = float(resid[np.arange(m), idx].min())
-        tup = tuple(int(j) + 1 for j in idx)
+        tops = [heap[0] for heap in heaps]
+        mass = -max(tops)[0]
+        tup = tuple([state for _, state in tops])
         if tup in entries:
             raise RuntimeError(f"greedy solver revisited cell {tup}")
-        _subtract(resid, idx, mass)
         entries[tup] = mass
-        order.append((tup, mass))
-        steps.append(GreedyStep(len(steps) + 1, tup, mass, _saturated(resid, idx)))
+        saturated = []
+        for axis, (heap, (neg, state)) in enumerate(zip(heaps, tops), start=1):
+            left = -neg - mass
+            if left <= EPS_ZERO:
+                heapq.heappop(heap)
+                saturated.append((axis, state))
+            else:
+                heapq.heapreplace(heap, (-left, state))
+        steps.append(GreedyStep(len(steps) + 1, tup, mass, frozenset(saturated)))
+
+
+def _solve(
+    marginals: Sequence[Marginal | Iterable[float]], sweep: bool
+) -> tuple[SparseCoupling, GreedyTrace]:
+    # Entries at or below EPS_ZERO are unassignable; zero them up front so
+    # every residual is either exactly 0 or strictly above EPS_ZERO.
+    resid = [
+        [0.0 if v <= EPS_ZERO else float(v) for v in p.probs]
+        for p in coerce_marginals(marginals)
+    ]
+    m, n = len(resid), len(resid[0])
+    entries: dict[tuple[int, ...], float] = {}
+    steps: list[GreedyStep] = []
+    if sweep:
+        _sweep(resid, entries, steps)
+    boundary = len(steps) + 1 if sweep else None
+    _update_until_drained(resid, entries, steps)
+    # entries keeps insertion order, which is the assignment order
+    coupling = SparseCoupling(m, (n,) * m, entries)
+    return coupling, GreedyTrace(tuple(steps), boundary)
 
 
 def greedy_coupling(
@@ -132,14 +158,7 @@ def greedy_coupling(
     at most ``n*m - m + 1`` steps and fails loudly if that bound would be
     exceeded.
     """
-    resid = _coerce_marginals(marginals)
-    m, n = resid.shape
-    entries: dict[tuple[int, ...], float] = {}
-    order: list[tuple[tuple[int, ...], float]] = []
-    steps: list[GreedyStep] = []
-    _update_until_drained(resid, entries, order, steps)
-    coupling = SparseCoupling(m, (n,) * m, entries, tuple(order))
-    return coupling, GreedyTrace(tuple(steps), None)
+    return _solve(marginals, sweep=False)
 
 
 def greedy_coupling_two_phase(
@@ -147,42 +166,15 @@ def greedy_coupling_two_phase(
 ) -> tuple[SparseCoupling, GreedyTrace]:
     """Couple marginals with a sweep phase followed by the greedy update.
 
-    Phase one runs exactly n rounds; round t picks, for each marginal, the
-    largest mass among states it has not visited yet, assigns the minimum
-    of those picks, and marks the chosen states visited. Rounds whose
-    minimum is zero are recorded in the trace with mass 0 but excluded
-    from the coupling. Phase two is the plain update loop on the residual
-    mass; the trace's ``phase_boundary`` marks where it starts.
+    Phase one runs exactly n rounds; round t assigns the minimum over the
+    marginals of their t-th largest mass (equal masses in state order).
+    Rounds whose minimum is zero are recorded in the trace with mass 0 but
+    excluded from the coupling. Phase two is the plain update loop on the
+    residual mass; the trace's ``phase_boundary`` marks where it starts.
     """
-    resid = _coerce_marginals(marginals)
-    m, n = resid.shape
-    entries: dict[tuple[int, ...], float] = {}
-    order: list[tuple[tuple[int, ...], float]] = []
-    steps: list[GreedyStep] = []
-    visited: list[set[int]] = [set() for _ in range(m)]
-    for _ in range(n):
-        idx = np.empty(m, dtype=int)
-        for k in range(m):
-            masked = resid[k].copy()
-            if visited[k]:
-                masked[sorted(visited[k])] = -1.0
-            idx[k] = int(masked.argmax())
-        mass = float(resid[np.arange(m), idx].min())
-        tup = tuple(int(j) + 1 for j in idx)
-        if mass > 0.0:
-            if tup in entries:
-                raise RuntimeError(f"greedy solver revisited cell {tup}")
-            _subtract(resid, idx, mass)
-            entries[tup] = mass
-            order.append((tup, mass))
-        steps.append(GreedyStep(len(steps) + 1, tup, mass, _saturated(resid, idx)))
-        for k in range(m):
-            visited[k].add(int(idx[k]))
-    boundary = len(steps) + 1
-    _update_until_drained(resid, entries, order, steps)
-    if len(steps) > n * m - m + 1:
-        raise RuntimeError(
-            f"two-phase solver exceeded the {n * m - m + 1}-step bound"
-        )
-    coupling = SparseCoupling(m, (n,) * m, entries, tuple(order))
-    return coupling, GreedyTrace(tuple(steps), boundary)
+    return _solve(marginals, sweep=True)
+
+
+# The one solver registry: ``minent couple --alg N`` runs ``alg<N>`` and
+# ``minent infer --solver`` takes these names.
+SOLVERS = {"alg1": greedy_coupling, "alg2": greedy_coupling_two_phase}

@@ -23,10 +23,9 @@ from typing import Iterable, Sequence
 
 from .core import (
     EPS_ZERO,
-    DimensionError,
-    DomainError,
     Marginal,
     SparseCoupling,
+    coerce_marginals,
     extended_entropy,
 )
 
@@ -136,10 +135,7 @@ def enumerate_vertices(
     Raises :class:`SizeCapError` above ``n_cap`` states (default 5); the
     enumeration is exhaustive and blows up combinatorially beyond that.
     """
-    pm = p if isinstance(p, Marginal) else Marginal.of(p)
-    qm = q if isinstance(q, Marginal) else Marginal.of(q)
-    if len(pm) != len(qm):
-        raise DimensionError(f"marginal lengths differ: {len(pm)} vs {len(qm)}")
+    pm, qm = coerce_marginals([p, q])
     n = len(pm)
     if n > n_cap:
         raise SizeCapError(f"n={n} exceeds the enumeration cap {n_cap}")
@@ -175,7 +171,5 @@ def entropy_lower_bound(
     marginals: Sequence[Marginal | Iterable[float]],
 ) -> float:
     """max_j H(X_j): every coupling's entropy is at least every marginal's."""
-    ms = [p if isinstance(p, Marginal) else Marginal.of(p) for p in marginals]
-    if not ms:
-        raise DomainError("need at least one marginal")
+    ms = coerce_marginals(marginals, "need at least one marginal", min_count=1)
     return max(extended_entropy(p) for p in ms)

@@ -288,6 +288,34 @@ class TestNonFiniteInput:
         assert "joint row 1 has non-finite entry nan at position 2" in err
 
 
+class TestOneIngestRule:
+    SHIFTED = [[v * (1 - 9e-10) for v in (0.3, 0.7)], [v * (1 + 9e-10) for v in (0.3, 0.7)]]
+
+    @pytest.mark.parametrize(
+        "marginals, message",
+        [
+            ([[0.6, 0.4]], "need at least two marginals to couple"),
+            ([[0.6, 0.4], [0.2, 0.3, 0.5]], "marginal lengths differ: [2, 3]"),
+            (SHIFTED, "marginal totals differ: 0.9999999991 vs 1.0000000009"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "argv", [["couple"], ["certify"], ["bound"], ["certify", "--trace-in"]]
+    )
+    def test_exit_2_before_any_work(self, tmp_path, capsys, marginals, message, argv):
+        # certify --trace-in used to exit 3 on one or ragged marginals, and
+        # couple accepted shifted totals that certify then failed (exit 3)
+        run = problem_file(tmp_path, [[0.6, 0.4], [0.5, 0.5]], name="ok.json")
+        _, saved, _ = run_cli(capsys, "couple", run, "--trace")
+        run_file = write(tmp_path, "run.json", saved)
+        path = problem_file(tmp_path, marginals)
+        extra = [run_file] if argv[-1] == "--trace-in" else []
+        code, out, err = run_cli(capsys, argv[0], path, *argv[1:], *extra)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",

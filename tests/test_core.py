@@ -6,16 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minent import (
+    EPS_MARG,
     DimensionError,
     DomainError,
     Marginal,
     ResidualVector,
     SparseCoupling,
+    bound_report,
+    entropy_lower_bound,
+    enumerate_vertices,
     extended_entropy,
+    greedy_coupling,
+    greedy_coupling_two_phase,
     marginalize,
     sort_decreasing,
     total_variation_sorted,
 )
+from minent.core import coerce_marginals
 
 from conftest import probability_vectors
 
@@ -37,6 +44,57 @@ class TestMarginal:
     def test_rejects_empty(self):
         with pytest.raises(DomainError):
             Marginal.of([])
+
+
+def shifted_pair(delta):
+    p = (0.3, 0.7)
+    return [[v * (1 - delta) for v in p], [v * (1 + delta) for v in p]]
+
+
+# every library entry point that takes a set of marginals goes through
+# coerce_marginals; each keeps its own message for too few marginals
+MARGINAL_SET_CALLERS = [
+    greedy_coupling,
+    greedy_coupling_two_phase,
+    bound_report,
+    entropy_lower_bound,
+    lambda ms: enumerate_vertices(*ms),
+]
+
+
+class TestCoerceMarginals:
+    def test_returns_marginals(self):
+        ms = coerce_marginals([[0.5, 0.5], Marginal.of([0.2, 0.8])])
+        assert ms == (Marginal.of([0.5, 0.5]), Marginal.of([0.2, 0.8]))
+
+    @pytest.mark.parametrize("caller", MARGINAL_SET_CALLERS)
+    def test_ragged_rejected(self, caller):
+        with pytest.raises(DimensionError, match=r"marginal lengths differ: \[2, 3\]"):
+            caller([[0.5, 0.5], [0.2, 0.3, 0.5]])
+
+    @pytest.mark.parametrize("caller", MARGINAL_SET_CALLERS)
+    def test_totals_apart_rejected(self, caller):
+        # each total is within EPS_SUM of 1, but they are 1.8e-9 apart
+        with pytest.raises(DomainError, match="totals differ"):
+            caller(shifted_pair(9e-10))
+
+    @pytest.mark.parametrize("caller", MARGINAL_SET_CALLERS)
+    def test_totals_within_half_eps_marg_accepted(self, caller):
+        family = shifted_pair(2e-10)
+        assert math.fsum(family[1]) - math.fsum(family[0]) <= EPS_MARG / 2
+        caller(family)
+
+    @pytest.mark.parametrize(
+        "caller, marginals, message",
+        [
+            (greedy_coupling, [[1.0]], "need at least two marginals to couple"),
+            (bound_report, [[1.0]], "need at least two marginals for a bound report"),
+            (entropy_lower_bound, [], "need at least one marginal"),
+        ],
+    )
+    def test_too_few_keeps_caller_message(self, caller, marginals, message):
+        with pytest.raises(DomainError, match=message):
+            caller(marginals)
 
 
 class TestResidualVector:

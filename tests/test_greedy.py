@@ -1,23 +1,62 @@
+import contextlib
+import io
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_greedy
 from minent import (
+    EPS_MARG,
+    EPS_SUM,
     EPS_ZERO,
     DimensionError,
     DomainError,
     Marginal,
+    bound_report,
     extended_entropy,
     greedy_coupling,
     greedy_coupling_two_phase,
     marginalize,
 )
+from minent.cli import main
 
-from conftest import marginal_families
+from conftest import marginal_families, tied_and_tiny_families
 
 SOLVERS = [greedy_coupling, greedy_coupling_two_phase]
+# each fast solver beside the argmax loop it replaced
+REFERENCE_PAIRS = [
+    (greedy_coupling, reference_greedy.greedy_coupling),
+    (greedy_coupling_two_phase, reference_greedy.greedy_coupling_two_phase),
+]
+
+
+@st.composite
+def perturbed_families(draw):
+    """Random or tied-and-tiny families, n in 1..8, each marginal scaled by
+    1 + d for some |d| < EPS_SUM, so every marginal on its own is valid."""
+    family = draw(
+        st.one_of(
+            marginal_families(min_n=1, max_n=8),
+            tied_and_tiny_families(min_n=1, max_n=8),
+        )
+    )
+    shift = st.one_of(st.just(0.0), st.floats(-0.9 * EPS_SUM, 0.9 * EPS_SUM))
+    shifts = [draw(shift) for _ in family]
+    return [[v * (1.0 + d) for v in row] for row, d in zip(family, shifts)]
+
+
+def solver_outcome(solver, family):
+    """Everything a solver run exposes, or the type of what it raised."""
+    try:
+        coupling, trace = solver(family)
+    except Exception as exc:  # the exception type is compared, not handled
+        return type(exc)
+    return trace.steps, trace.phase_boundary, coupling.assignment_order
 
 
 def assert_close_entries(entries, expected, abs_tol=1e-9):
@@ -196,3 +235,65 @@ class TestSolverInvariants:
             assert step.mass <= remaining + 1e-9
             remaining -= step.mass
         assert remaining == pytest.approx(0.0, abs=1e-9)
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("fast, reference", REFERENCE_PAIRS)
+    @given(family=perturbed_families())
+    @settings(max_examples=300, deadline=None)
+    def test_same_trace_as_argmax_loop(self, fast, reference, family):
+        # steps (with saturated_axes), phase boundary, assignment order and
+        # any raised exception type all match the loop the solvers replaced
+        assert solver_outcome(fast, family) == solver_outcome(reference, family)
+
+    @given(family=marginal_families(min_n=1, max_n=8))
+    @settings(max_examples=150, deadline=None)
+    def test_sweep_masses_are_pointwise_min(self, family):
+        # with no entry at or below EPS_ZERO nothing is snapped before the
+        # sweep, so its masses are the bound report's pointwise minimum
+        _, trace = greedy_coupling_two_phase(family)
+        sweep = [s.mass for s in trace.steps[: trace.phase_boundary - 1]]
+        assert sweep == list(bound_report(family).pointwise_min.masses)
+
+
+def cli_exit_code(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+        io.StringIO()
+    ) as err:
+        code = main(argv)
+    return code, err.getvalue()
+
+
+class TestUnequalTotals:
+    @given(family=perturbed_families())
+    @settings(max_examples=200, deadline=None)
+    def test_reproduced_or_rejected_everywhere(self, family):
+        totals = [math.fsum(row) for row in family]
+        if max(totals) - min(totals) <= EPS_MARG / 2:
+            for solver in SOLVERS:
+                coupling, _ = solver(family)
+                for axis, target in enumerate(family, start=1):
+                    implied = marginalize(coupling, axis)
+                    assert max(abs(a - b) for a, b in zip(implied, target)) <= EPS_MARG
+            return
+        for solver in SOLVERS:
+            with pytest.raises(DomainError, match="totals differ"):
+                solver(family)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "problem.json"
+            path.write_text(json.dumps({"marginals": family}), encoding="utf-8")
+            for command in ("couple", "certify", "bound"):
+                code, err = cli_exit_code([command, str(path)])
+                assert code == 2
+                assert "totals differ" in err
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_opposite_shifts_rejected_naming_both_totals(self, solver):
+        p = [0.3, 0.7]
+        low = [v * (1 - 9e-10) for v in p]
+        high = [v * (1 + 9e-10) for v in p]
+        with pytest.raises(DomainError) as info:
+            solver([low, high])
+        message = str(info.value)
+        assert repr(math.fsum(low)) in message
+        assert repr(math.fsum(high)) in message
