@@ -37,8 +37,6 @@ from .core import (
     SparseCoupling,
     extended_entropy,
     marginalize,
-    sort_decreasing,
-    total_variation_sorted,
 )
 from .greedy import (
     GreedyStep,
@@ -50,7 +48,6 @@ from .oracle import (
     DEFAULT_N_CAP,
     SizeCapError,
     VertexSet,
-    entropy_lower_bound,
     enumerate_vertices,
     exact_min_entropy_2var,
 )
@@ -80,7 +77,6 @@ __all__ = [
     "bound_report",
     "certify_local_optimum",
     "conditionals_from_joint",
-    "entropy_lower_bound",
     "enumerate_vertices",
     "exact_min_entropy_2var",
     "exogenous_entropy_estimate",
@@ -91,7 +87,5 @@ __all__ = [
     "marginalize",
     "outer_product_coupling",
     "outer_product_entropy_identity",
-    "sort_decreasing",
     "special_family",
-    "total_variation_sorted",
 ]

@@ -2,9 +2,12 @@
 
 After sorting every marginal in decreasing order, the pointwise minimum
 ``p_min`` is what the two-phase solver consumes in its sweep phase; what
-remains of marginal j is the residual vector ``l_j``. All residuals share
-the same total ``T``, and the coupling entropy achieved by the solver sits
-within an additive ``slack`` of the unknown optimum:
+remains of marginal j is the residual vector ``l_j``. The report takes
+both from ``core.sorted_sweep``, the sweep the solver runs, but on the
+raw masses: the solver snaps dust at or below ``EPS_ZERO`` to zero first,
+the report keeps it. All residuals share the same total ``T``, and the
+coupling entropy achieved by the solver sits within an additive ``slack``
+of the unknown optimum:
 
     slack = 1 - (m - 1) * T * log2(1/T) + sum_j h(l_j) - max_j h(l_j)
 
@@ -27,8 +30,6 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .core import (
     EPS_SUM,
     EPS_ZERO,
@@ -38,8 +39,7 @@ from .core import (
     ResidualVector,
     coerce_marginals,
     extended_entropy,
-    sort_decreasing,
-    total_variation_sorted,
+    sorted_sweep,
 )
 
 
@@ -98,22 +98,15 @@ def bound_report(
     """
     ms = coerce_marginals(marginals, "need at least two marginals for a bound report")
     m = len(ms)
-    sorted_ms = tuple(sort_decreasing(p)[0] for p in ms)
-    arr = np.array([p.probs for p in sorted_ms], dtype=float)
-    pmin = arr.min(axis=0)
+    ranks, pmin = sorted_sweep([p.probs for p in ms])
+    sorted_ms = tuple(
+        Marginal(tuple(p.probs[i] for i in rank)) for p, rank in zip(ms, ranks)
+    )
     residuals = tuple(
-        ResidualVector.of(arr[j] - pmin) for j in range(m)
+        ResidualVector.of([v - low for v, low in zip(p.probs, pmin)])
+        for p in sorted_ms
     )
     total = residuals[0].total
-    spread = max(r.total for r in residuals) - min(r.total for r in residuals)
-    if spread > EPS_SUM:
-        raise RuntimeError(f"residual totals diverged by {spread!r}")
-    if m == 2:
-        tv = total_variation_sorted(ms[0], ms[1])
-        if abs(total - tv) > EPS_SUM:
-            raise RuntimeError(
-                f"residual total {total!r} disagrees with total variation {tv!r}"
-            )
     h_res = tuple(extended_entropy(r) for r in residuals)
     lower = max(extended_entropy(p) for p in sorted_ms)
     slack = (

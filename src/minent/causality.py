@@ -188,10 +188,11 @@ def infer_direction(
     """Score both causal directions of an observed joint and pick one.
 
     The verdict goes to the direction whose score undercuts the other by
-    more than ``margin`` bits; otherwise the call returns "undecided" with
-    a diagnostic. An exactly independent joint always lands there, since
-    both directions then score H(X) + H(Y).
+    more than ``margin`` bits (finite and nonnegative); otherwise the call
+    returns "undecided" with a diagnostic. An exactly independent joint
+    always lands there, since both directions then score H(X) + H(Y).
     """
+    require_finite([margin], "margin")
     if margin < 0.0:
         raise DomainError(f"margin must be nonnegative, got {margin}")
     p_x = obs.joint.sum(axis=1)

@@ -236,6 +236,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
             }
         )
     else:
+        if args.n < 1:
+            raise DomainError(f"--n must be at least 1, got {args.n}")
+        if args.m < 2:
+            raise DomainError(f"--m must be at least 2, got {args.m}")
         rng = np.random.default_rng(args.seed)
         marginals = rng.dirichlet(np.ones(args.n), size=args.m)
         _emit(

@@ -1,4 +1,4 @@
-"""Shared distribution types, entropy functionals, and sorting utilities.
+"""Shared distribution types, entropy functionals, and the sorted sweep.
 
 States are numbered 1..n in all public inputs and outputs. Every type
 validates its invariants on construction and is immutable afterwards, so
@@ -245,24 +245,24 @@ def extended_entropy(values: MassLike) -> float:
     return float(-np.sum(pos * np.log2(pos)))
 
 
-def sort_decreasing(p: Marginal) -> tuple[Marginal, tuple[int, ...]]:
-    """Sort a marginal into non-increasing order.
+def sorted_sweep(
+    rows: Sequence[Sequence[float]],
+) -> tuple[list[list[int]], list[float]]:
+    """Each row's decreasing order and the pointwise minimum of the sorted rows.
 
-    Returns ``(sorted, perm)`` where ``perm[k]`` is the 1-based original
-    index of the k-th largest mass. Ties keep their original order.
+    ``ranks[j][t]`` is the 0-based state holding row j's t-th largest
+    value; equal values keep state order. ``pointwise_min[t]`` is the
+    smallest of the rows' t-th largest values; of equal smallest values
+    (``0.0`` beside ``-0.0``) the last row's is kept.
     """
-    order = sorted(range(len(p)), key=lambda i: (-p.probs[i], i))
-    sorted_marginal = Marginal(tuple(p.probs[i] for i in order))
-    return sorted_marginal, tuple(i + 1 for i in order)
-
-
-def total_variation_sorted(p: Marginal, q: Marginal) -> float:
-    """Total variation distance between the decreasing rearrangements of p and q."""
-    if len(p) != len(q):
-        raise DimensionError(f"marginal lengths differ: {len(p)} vs {len(q)}")
-    a, _ = sort_decreasing(p)
-    b, _ = sort_decreasing(q)
-    return 0.5 * math.fsum(abs(x - y) for x, y in zip(a.probs, b.probs))
+    # reverse=True keeps the sort stable: equal values stay in state order
+    ranks = [
+        sorted(range(len(row)), key=row.__getitem__, reverse=True) for row in rows
+    ]
+    sorted_rows = [[row[i] for i in rank] for row, rank in zip(rows, ranks)]
+    # min keeps the first of equal values, so the rows go in reverse
+    pointwise_min = list(map(min, zip(*reversed(sorted_rows))))
+    return ranks, pointwise_min
 
 
 def marginalize(coupling: SparseCoupling, axis: int) -> list[float]:

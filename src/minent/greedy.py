@@ -6,10 +6,14 @@ those picks to one joint cell, subtracting it everywhere. The two-phase
 variant first sweeps every state of every marginal exactly once, then
 finishes with the same update loop on whatever mass remains.
 
-The sweep never changes a state before visiting it, so its masses are
-``bound_report``'s ``pointwise_min`` and the update loop receives the
-report's residuals ``l_j``. That loop keeps one max-heap per marginal
-keyed ``(-mass, state)``, so ties go to the lowest state. Cost:
+The sweep never changes a state before visiting it, so its cells and
+masses are read up front from ``core.sorted_sweep``, the same sweep
+``bound_report`` runs. The solver sweeps masses with dust at or below
+``EPS_ZERO`` snapped to zero and the report sweeps the raw masses; when
+no mass is that small, the sweep's masses are the report's
+``pointwise_min`` and the update loop receives the report's residuals
+``l_j``. That loop keeps one max-heap per marginal keyed
+``(-mass, state)``, so ties go to the lowest state. Cost:
 O(n*m*log n + steps*m*log n) with ``steps <= n*m - m + 1``.
 
 Both solvers record a full :class:`GreedyTrace`; the trace carries the
@@ -23,7 +27,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import EPS_ZERO, Marginal, SparseCoupling, coerce_marginals
+from .core import EPS_ZERO, Marginal, SparseCoupling, coerce_marginals, sorted_sweep
 
 
 @dataclass(frozen=True)
@@ -66,11 +70,9 @@ def _sweep(
     steps: list[GreedyStep],
 ) -> None:
     """Phase one: round t assigns the minimum of every marginal's t-th largest mass."""
-    n = len(resid[0])
-    # reverse=True keeps the sort stable: equal masses stay in state order
-    ranks = [sorted(range(n), key=row.__getitem__, reverse=True) for row in resid]
-    for cell in zip(*ranks):
-        mass = min(row[j] for row, j in zip(resid, cell))
+    # no state changes before its round, so the masses can be read up front
+    ranks, masses = sorted_sweep(resid)
+    for cell, mass in zip(zip(*ranks), masses):
         tup = tuple(j + 1 for j in cell)
         if mass > 0.0:
             if tup in entries:

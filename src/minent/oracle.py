@@ -19,7 +19,7 @@ hard size cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .core import (
     EPS_ZERO,
@@ -165,11 +165,3 @@ def exact_min_entropy_2var(
     """
     vertex_set = enumerate_vertices(p, q, n_cap)
     return vertex_set.best, vertex_set.best_entropy
-
-
-def entropy_lower_bound(
-    marginals: Sequence[Marginal | Iterable[float]],
-) -> float:
-    """max_j H(X_j): every coupling's entropy is at least every marginal's."""
-    ms = coerce_marginals(marginals, "need at least one marginal", min_count=1)
-    return max(extended_entropy(p) for p in ms)

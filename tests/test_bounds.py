@@ -1,9 +1,13 @@
+import json
 import math
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_bounds
 from minent import (
+    EPS_SUM,
     DimensionError,
     DomainError,
     Marginal,
@@ -17,7 +21,9 @@ from minent import (
     special_family,
 )
 
-from conftest import marginal_families, residual_families
+from minent.cli import _clean
+
+from conftest import marginal_families, residual_families, tied_and_tiny_families
 
 
 class TestBoundReport:
@@ -87,6 +93,66 @@ class TestBoundReport:
             achieved = extended_entropy(coupling)
             assert achieved >= report.lower_bound - 1e-9
             assert achieved <= report.upper_bound + 1e-9
+
+
+def report_json(report):
+    return json.dumps(_clean(report.to_dict()))
+
+
+class TestAgainstReference:
+    """The sorted-sweep report equals the sort-and-numpy reference exactly."""
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            [[0.5, 0.5, 0.0], [0.5, 0.5, -0.0]],
+            [[0.5, 0.5, -0.0], [0.5, 0.5, 0.0]],
+            [[0.5, -0.0, 0.5], [0.0, 0.5, 0.5], [-0.0, 1.0, 0.0]],
+            [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
+            [[0.0, 0.6, 0.0, 0.4], [0.5, 0.0, 0.5, 0.0], [0.25, 0.25, 0.25, 0.25]],
+            [[0.5, 0.5 - 1e-13, 1e-13], [0.5, 0.5 - 2e-12, 2e-12]],
+        ],
+    )
+    def test_signed_zeros_exact_zeros_and_dust(self, family):
+        for achieved in (None, 1.5):
+            report = bound_report(family, achieved)
+            expected = reference_bounds.bound_report(family, achieved)
+            assert repr(report) == repr(expected)
+            assert report_json(report) == report_json(expected)
+
+    def test_negative_zero_survives_in_pointwise_min(self):
+        report = bound_report([[0.5, 0.5, 0.0], [0.5, 0.5, -0.0]])
+        assert repr(report.pointwise_min.masses[2]) == "-0.0"
+        assert '"pointwise_min": [0.5, 0.5, -0.0]' in report_json(report)
+
+    @given(
+        family=st.one_of(marginal_families(), tied_and_tiny_families()),
+        achieved=st.one_of(st.none(), st.floats(min_value=0.0, max_value=8.0)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_report_identical(self, family, achieved):
+        report = bound_report(family, achieved)
+        expected = reference_bounds.bound_report(family, achieved)
+        assert repr(report) == repr(expected)
+        assert report_json(report) == report_json(expected)
+
+    @given(
+        family=st.one_of(marginal_families(), tied_and_tiny_families()),
+        shifts=st.lists(
+            st.floats(min_value=-2e-10, max_value=2e-10), min_size=4, max_size=4
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_residual_totals_agree_within_eps_sum(self, family, shifts):
+        # totals up to 4e-10 apart: close to the EPS_MARG / 2 ingest limit
+        family = [[v * (1 + d) for v in row] for row, d in zip(family, shifts)]
+        report = bound_report(family)
+        totals = [r.total for r in report.residuals]
+        assert max(totals) - min(totals) <= EPS_SUM
+        if report.m == 2:
+            p, q = (Marginal.of(row) for row in family)
+            tv = reference_bounds.total_variation_sorted(p, q)
+            assert abs(report.residual_total - tv) <= EPS_SUM
 
 
 class TestOuterProduct:

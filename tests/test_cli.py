@@ -217,6 +217,14 @@ class TestInfer:
         assert code == 0
         assert json.loads(out)["verdict"] == "undecided"
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_margin_exit_2(self, tmp_path, capsys, token):
+        path = write(tmp_path, "joint.csv", "0.3,0.1\n0.2,0.4\n")
+        code, out, err = run_cli(capsys, "infer", path, f"--margin={token}")
+        assert code == 2
+        assert out == ""
+        assert f"margin has non-finite entry {token}" in err
+
 
 class TestGenerate:
     def test_special_family(self, capsys):
@@ -250,6 +258,31 @@ class TestGenerate:
         assert len(doc["marginals"]) == 2
         for row in doc["marginals"]:
             assert sum(row) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--n", "0"], "--n must be at least 1, got 0"),
+            (["--n", "-2"], "--n must be at least 1, got -2"),
+            (["--n", "3", "--m", "1"], "--m must be at least 2, got 1"),
+            (["--n", "3", "--m", "0"], "--m must be at least 2, got 0"),
+            (["--n", "3", "--m", "-1"], "--m must be at least 2, got -1"),
+        ],
+    )
+    def test_random_family_rejects_unusable_sizes(self, capsys, flags, message):
+        code, out, err = run_cli(capsys, "generate", "--family", "random", *flags)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    @pytest.mark.parametrize("n, m", [(1, 2), (3, 2), (2, 4)])
+    def test_random_family_feeds_couple(self, tmp_path, capsys, n, m):
+        args = ["--family", "random", "--n", str(n), "--m", str(m)]
+        code, out, _ = run_cli(capsys, "generate", *args)
+        assert code == 0
+        path = write(tmp_path, "generated.json", out)
+        code, _, _ = run_cli(capsys, "couple", path)
+        assert code == 0
 
     def test_generated_file_feeds_couple(self, tmp_path, capsys):
         code, out, _ = run_cli(

@@ -13,18 +13,16 @@ from minent import (
     ResidualVector,
     SparseCoupling,
     bound_report,
-    entropy_lower_bound,
     enumerate_vertices,
     extended_entropy,
     greedy_coupling,
     greedy_coupling_two_phase,
     marginalize,
-    sort_decreasing,
-    total_variation_sorted,
 )
-from minent.core import coerce_marginals
+from minent.core import coerce_marginals, sorted_sweep
 
-from conftest import probability_vectors
+from conftest import marginal_families, probability_vectors, tied_and_tiny_families
+from reference_bounds import sort_decreasing, total_variation_sorted
 
 
 class TestMarginal:
@@ -57,7 +55,6 @@ MARGINAL_SET_CALLERS = [
     greedy_coupling,
     greedy_coupling_two_phase,
     bound_report,
-    entropy_lower_bound,
     lambda ms: enumerate_vertices(*ms),
 ]
 
@@ -89,7 +86,6 @@ class TestCoerceMarginals:
         [
             (greedy_coupling, [[1.0]], "need at least two marginals to couple"),
             (bound_report, [[1.0]], "need at least two marginals for a bound report"),
-            (entropy_lower_bound, [], "need at least one marginal"),
         ],
     )
     def test_too_few_keeps_caller_message(self, caller, marginals, message):
@@ -206,6 +202,58 @@ class TestNonFiniteRejected:
     def test_extended_entropy(self, bad):
         with pytest.raises(DomainError, match=f"non-finite entry {bad!r} at position 1"):
             extended_entropy([bad, 1.0])
+
+
+def signs(values):
+    return [math.copysign(1.0, v) for v in values]
+
+
+class TestSortedSweep:
+    def test_worked_example(self):
+        ranks, pmin = sorted_sweep([[0.2, 0.5, 0.3], [0.3, 0.3, 0.4]])
+        assert ranks == [[1, 2, 0], [2, 0, 1]]
+        assert pmin == [0.4, 0.3, 0.2]
+
+    def test_ties_keep_state_order(self):
+        ranks, pmin = sorted_sweep([[0.25] * 4, [0.125, 0.375, 0.125, 0.375]])
+        assert ranks == [[0, 1, 2, 3], [1, 3, 0, 2]]
+        assert pmin == [0.25, 0.25, 0.125, 0.125]
+
+    def test_signed_zeros_tie_in_state_order(self):
+        ranks, _ = sorted_sweep([[0.0, -0.0, 1.0, -0.0, 0.0]])
+        assert ranks == [[2, 0, 1, 3, 4]]
+
+    @pytest.mark.parametrize(
+        "rows, kept",
+        [
+            ([[0.5, 0.5, 0.0], [0.5, 0.5, -0.0]], -1.0),
+            ([[0.5, 0.5, -0.0], [0.5, 0.5, 0.0]], 1.0),
+            ([[0.5, 0.5, -0.0], [0.5, 0.5, 0.0], [0.5, 0.5, -0.0]], -1.0),
+            ([[0.5, 0.5, 0.0], [0.5, 0.5, -0.0], [0.5, 0.5, 0.0]], 1.0),
+        ],
+    )
+    def test_equal_minima_keep_the_last_row(self, rows, kept):
+        _, pmin = sorted_sweep(rows)
+        assert pmin == [0.5, 0.5, 0.0]
+        assert signs(pmin) == [1.0, 1.0, kept]
+
+    def test_exact_zeros(self):
+        ranks, pmin = sorted_sweep([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5]])
+        assert ranks == [[1, 0, 2], [0, 2, 1]]
+        assert pmin == [0.5, 0.0, 0.0]
+
+    @given(family=st.one_of(marginal_families(), tied_and_tiny_families()))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_sort_decreasing_and_numpy_min(self, family):
+        ranks, pmin = sorted_sweep(family)
+        sorted_rows = []
+        for row, rank in zip(family, ranks):
+            sorted_p, perm = sort_decreasing(Marginal.of(row))
+            assert [i + 1 for i in rank] == list(perm)
+            sorted_rows.append(sorted_p.probs)
+        expected = np.array(sorted_rows).min(axis=0).tolist()
+        assert pmin == expected
+        assert signs(pmin) == signs(expected)
 
 
 class TestSortDecreasing:

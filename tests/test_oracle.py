@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from minent import (
     EPS_ZERO,
     DimensionError,
-    DomainError,
     SizeCapError,
-    entropy_lower_bound,
+    bound_report,
     enumerate_vertices,
     exact_min_entropy_2var,
     extended_entropy,
@@ -175,7 +174,7 @@ class TestExactMinEntropy:
         for _ in range(20):
             p, q = dirichlet_marginals(rng, 2, 3)
             _, best = exact_min_entropy_2var(p, q)
-            assert best >= entropy_lower_bound([p, q]) - 1e-9
+            assert best >= bound_report([p, q]).lower_bound - 1e-9
 
     @given(family=marginal_families(min_m=2, max_m=2, min_n=2, max_n=4))
     @settings(max_examples=60, deadline=None)
@@ -185,23 +184,3 @@ class TestExactMinEntropy:
         for solver in (greedy_coupling, greedy_coupling_two_phase):
             coupling, _ = solver([p, q])
             assert best <= extended_entropy(coupling) + 1e-9
-
-
-class TestEntropyLowerBound:
-    def test_worked_instance(self):
-        assert entropy_lower_bound([[0.6, 0.4], [0.5, 0.5]]) == pytest.approx(
-            1.0, abs=1e-12
-        )
-
-    def test_single_marginal(self):
-        assert entropy_lower_bound([[0.25] * 4]) == pytest.approx(2.0, abs=1e-12)
-
-    def test_identical_marginals(self):
-        p = [0.7, 0.2, 0.1]
-        assert entropy_lower_bound([p] * 5) == pytest.approx(
-            extended_entropy(p), abs=1e-12
-        )
-
-    def test_empty_rejected(self):
-        with pytest.raises(DomainError):
-            entropy_lower_bound([])
