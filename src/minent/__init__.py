@@ -2,7 +2,7 @@
 
 Greedy approximate solvers for the minimum entropy coupling problem,
 local-optimality certificates for their outputs, additive approximation
-bound reports, an exact vertex-enumeration oracle for small two-marginal
+bound reports, an exact branch-and-bound oracle for small two-marginal
 instances, and an entropic causal direction test built on the solvers.
 """
 

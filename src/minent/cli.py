@@ -178,14 +178,17 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 def cmd_bound(args: argparse.Namespace) -> int:
     marginals = _load_marginals(args.input)
+    if args.oracle:
+        # Before solving: the oracle rejects n > DEFAULT_N_CAP before it
+        # runs a solver of its own.
+        if len(marginals) != 2:
+            raise DomainError("--oracle needs exactly two marginals")
+        _, best_entropy = exact_min_entropy_2var(marginals[0], marginals[1])
     coupling, _ = SOLVERS["alg" + args.alg](marginals)
     achieved = extended_entropy(coupling)
     report = bound_report(marginals, achieved=achieved)
     payload = report.to_dict()
     if args.oracle:
-        if len(marginals) != 2:
-            raise DomainError("--oracle needs exactly two marginals")
-        _, best_entropy = exact_min_entropy_2var(marginals[0], marginals[1])
         payload["oracle"] = {
             "min_entropy": best_entropy,
             "upper_bound_absolute": best_entropy + report.slack,

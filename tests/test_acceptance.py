@@ -35,8 +35,9 @@ from minent import (
 from reference_certify import build_system, check_last_one_property
 
 CORPUS_SEED = 20260808
-# (m, n) -> instance count; n=5 two-marginal cases are few because each
-# one also runs the exact vertex-enumeration oracle in criterion 5
+# (m, n) -> instance count. Criterion 5 checks every two-marginal case with
+# n <= 5 against the exact oracle; its extra n = 5 cases come from their
+# own seed below, so this plan and its draws stay fixed.
 CORPUS_PLAN = {
     (2, 2): 120, (2, 3): 120, (2, 4): 80, (2, 5): 6, (2, 6): 120,
     (3, 2): 60, (3, 3): 60, (3, 4): 60, (3, 5): 60, (3, 6): 60,
@@ -47,6 +48,9 @@ SOLVERS = {
     "alg1": greedy_coupling,
     "alg2": greedy_coupling_two_phase,
 }
+
+ORACLE_EXTRA_SEED = CORPUS_SEED + 3
+ORACLE_EXTRA_COUNT = 40  # two-marginal n = 5 problems, criterion 5 only
 
 
 @dataclass(frozen=True)
@@ -153,14 +157,23 @@ def test_criterion_4_system_structure_and_rank(corpus):
 
 
 def test_criterion_5_bound_sandwich(corpus):
+    rng = np.random.default_rng(ORACLE_EXTRA_SEED)
+    extra = [
+        tuple(tuple(float(v) for v in row) for row in rng.dirichlet(np.ones(5), size=2))
+        for _ in range(ORACLE_EXTRA_COUNT)
+    ]
+    cases = [(instance.marginals, instance.runs) for instance in corpus] + [
+        (marginals, {name: solver(marginals) for name, solver in SOLVERS.items()})
+        for marginals in extra
+    ]
     oracle_checked = 0
-    for instance in corpus:
-        rep = bound_report(instance.marginals)
+    for marginals, runs in cases:
+        rep = bound_report(marginals)
         exact = None
-        if instance.m == 2 and instance.n <= 5:
-            _, exact = exact_min_entropy_2var(*instance.marginals)
+        if len(marginals) == 2 and len(marginals[0]) <= 5:
+            _, exact = exact_min_entropy_2var(*marginals)
             oracle_checked += 1
-        for coupling, _ in instance.runs.values():
+        for coupling, _ in runs.values():
             achieved = extended_entropy(coupling)
             assert achieved >= rep.lower_bound - 1e-9
             assert achieved <= rep.lower_bound + rep.slack + 1e-9
@@ -170,7 +183,7 @@ def test_criterion_5_bound_sandwich(corpus):
     report(
         5,
         "bound sandwich",
-        f"{len(corpus)} instances, {oracle_checked} with exact optimum",
+        f"{len(cases)} instances, {oracle_checked} with exact optimum",
     )
 
 

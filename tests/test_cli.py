@@ -5,6 +5,7 @@ import pytest
 
 from minent import Marginal, SparseCoupling, marginalize
 from minent.cli import main
+from minent.greedy import SOLVERS
 
 
 def write(tmp_path, name, text):
@@ -180,6 +181,27 @@ class TestBound:
         code, _, err = run_cli(capsys, "bound", path, "--oracle")
         assert code == 4
         assert "cap" in err
+
+    @pytest.mark.parametrize(
+        "marginals,code,message",
+        [
+            ([[1.0 / 6] * 6] * 2, 4, "n=6 exceeds the enumeration cap 5"),
+            ([[1e-4] * 10**4] * 2, 4, "n=10000 exceeds the enumeration cap 5"),
+            ([[0.5, 0.5]] * 3, 2, "--oracle needs exactly two marginals"),
+        ],
+    )
+    def test_oracle_rejects_before_solving(
+        self, tmp_path, capsys, monkeypatch, marginals, code, message
+    ):
+        def unreachable(*args):
+            raise AssertionError("solver ran before the oracle checks")
+
+        for name in list(SOLVERS):
+            monkeypatch.setitem(SOLVERS, name, unreachable)
+        path = problem_file(tmp_path, marginals)
+        got, out, err = run_cli(capsys, "bound", path, "--alg", "2", "--oracle")
+        assert (got, out) == (code, "")
+        assert err == f"error: {message}\n"
 
 
 class TestInfer:

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minent import (
+    EPS_MARG,
     EPS_ZERO,
     DimensionError,
     SizeCapError,
@@ -15,9 +17,11 @@ from minent import (
     greedy_coupling,
     greedy_coupling_two_phase,
     marginalize,
+    special_family,
 )
+from minent.greedy import SOLVERS
 
-from conftest import dirichlet_marginals, marginal_families
+from conftest import dirichlet_marginals, marginal_families, tied_and_tiny_families
 
 
 def brute_force_vertices(p, q):
@@ -184,3 +188,70 @@ class TestExactMinEntropy:
         for solver in (greedy_coupling, greedy_coupling_two_phase):
             coupling, _ = solver([p, q])
             assert best <= extended_entropy(coupling) + 1e-9
+
+
+def assert_same_as_enumeration(p, q):
+    best, best_entropy = exact_min_entropy_2var(p, q)
+    vertex_set = enumerate_vertices(p, q)
+    assert best == vertex_set.best
+    assert best_entropy == vertex_set.best_entropy
+
+
+class TestBranchAndBound:
+    """The pruned search returns exactly the full enumeration's optimum."""
+
+    @given(family=marginal_families(min_m=2, max_m=2, min_n=1, max_n=4))
+    @settings(max_examples=100, deadline=None)
+    def test_random_families(self, family):
+        assert_same_as_enumeration(*family)
+
+    @given(family=tied_and_tiny_families(min_m=2, max_m=2, min_n=1, max_n=4))
+    @settings(max_examples=100, deadline=None)
+    def test_tied_and_tiny_families(self, family):
+        assert_same_as_enumeration(*family)
+
+    @given(
+        family=st.one_of(
+            marginal_families(min_m=2, max_m=2, min_n=5, max_n=5),
+            tied_and_tiny_families(min_m=2, max_m=2, min_n=5, max_n=5),
+        )
+    )
+    @settings(max_examples=3, deadline=None)
+    def test_five_states(self, family):
+        # few examples: the full enumeration takes seconds at n = 5
+        assert_same_as_enumeration(*family)
+
+    @given(
+        family=marginal_families(min_m=2, max_m=2, min_n=1, max_n=4),
+        shift=st.floats(min_value=-0.49 * EPS_MARG, max_value=0.49 * EPS_MARG),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_totals_apart_within_ingest_tolerance(self, family, shift):
+        # the longer side keeps up to EPS_MARG / 2 of mass when the other
+        # runs out, so its residual entropy overshoots the leaf's
+        p, q = family
+        assert_same_as_enumeration(p, [v * (1.0 + shift) for v in q])
+
+    @pytest.mark.parametrize(
+        "p,q",
+        [
+            ([0.2] * 5, [0.2] * 5),
+            special_family(4, 1.5)[:2],
+            ([0.1, 0.15, 0.2, 0.25, 0.3], [0.1, 0.15, 0.2, 0.25, 0.3]),
+            ([1.0], [1.0]),
+            ([0.5, 0.5], [1.0 - EPS_ZERO, EPS_ZERO]),
+        ],
+        ids=["uniform-5", "special-4", "identical-5", "n-1", "eps-zero"],
+    )
+    def test_fixed_cases(self, p, q):
+        assert_same_as_enumeration(p, q)
+
+    def test_size_cap_before_any_solver(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("solver ran before the size cap check")
+
+        for name in list(SOLVERS):
+            monkeypatch.setitem(SOLVERS, name, unreachable)
+        uniform6 = [1.0 / 6] * 6
+        with pytest.raises(SizeCapError, match="n=6 exceeds the enumeration cap 5"):
+            exact_min_entropy_2var(uniform6, uniform6)
