@@ -9,8 +9,6 @@ instances, and an entropic causal direction test built on the solvers.
 from .bounds import (
     BoundReport,
     bound_report,
-    outer_product_coupling,
-    outer_product_entropy_identity,
     special_family,
 )
 from .causality import (
@@ -47,8 +45,6 @@ from .greedy import (
 from .oracle import (
     DEFAULT_N_CAP,
     SizeCapError,
-    VertexSet,
-    enumerate_vertices,
     exact_min_entropy_2var,
 )
 
@@ -73,11 +69,9 @@ __all__ = [
     "ResidualVector",
     "SizeCapError",
     "SparseCoupling",
-    "VertexSet",
     "bound_report",
     "certify_local_optimum",
     "conditionals_from_joint",
-    "enumerate_vertices",
     "exact_min_entropy_2var",
     "exogenous_entropy_estimate",
     "extended_entropy",
@@ -85,7 +79,5 @@ __all__ = [
     "greedy_coupling_two_phase",
     "infer_direction",
     "marginalize",
-    "outer_product_coupling",
-    "outer_product_entropy_identity",
     "special_family",
 ]

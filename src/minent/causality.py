@@ -175,7 +175,8 @@ def exogenous_entropy_estimate(
     variable.
     """
     if solver not in SOLVERS:
-        raise DomainError(f"unknown solver {solver!r}; use 'alg1' or 'alg2'")
+        names = " or ".join(map(repr, SOLVERS))
+        raise DomainError(f"unknown solver {solver!r}; use {names}")
     coupling, _ = SOLVERS[solver](conditionals)
     return extended_entropy(coupling)
 

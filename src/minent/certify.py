@@ -57,12 +57,10 @@ class CertificationError(RuntimeError):
         *,
         residual_norm: float | None = None,
         max_reconstruction_error: float | None = None,
-        witness: tuple[tuple[float, ...], ...] | None = None,
     ) -> None:
         super().__init__(message)
         self.residual_norm = residual_norm
         self.max_reconstruction_error = max_reconstruction_error
-        self.witness = witness
 
 
 @dataclass(frozen=True)
@@ -91,17 +89,6 @@ class Certificate:
                 f"reconstruction error {self.max_reconstruction_error!r} exceeds {EPS_CERT}"
             )
         object.__setattr__(self, "witnesses", dict(self.witnesses))
-
-    def factor_vectors(self) -> tuple[tuple[float, ...], ...]:
-        """Per-axis factors v_k(i) = 2**(u_k(i) - 1/m).
-
-        Multiplying the factors at a cell's states reproduces its mass,
-        an equivalent restatement of the product form.
-        """
-        m = len(self.u)
-        return tuple(
-            tuple(2.0 ** (val - 1.0 / m) for val in vec) for vec in self.u
-        )
 
     def to_dict(self) -> dict:
         return {
@@ -170,7 +157,6 @@ def certify_local_optimum(
             )
         fixed = sum(u[axis][state - 1] for axis, state in enumerate(tup) if axis != owned)
         u[owned][tup[owned] - 1] = rhs[row] - fixed
-    witness = tuple(tuple(vec) for vec in u)
     sums = [
         sum(u[axis][state - 1] for axis, state in enumerate(step.chosen_tuple))
         for step in positive
@@ -181,7 +167,6 @@ def certify_local_optimum(
         raise CertificationError(
             f"witness system residual {residual:.3e} exceeds {EPS_CERT}",
             residual_norm=residual,
-            witness=witness,
         )
     witnesses: dict[tuple[int, ...], float] = {}
     worst = 0.0
@@ -198,6 +183,5 @@ def certify_local_optimum(
             f"mass reconstruction error {worst_relative:.3e} of the mass exceeds {EPS_CERT}",
             residual_norm=residual,
             max_reconstruction_error=worst,
-            witness=witness,
         )
-    return Certificate(witness, residual, witnesses, worst)
+    return Certificate(tuple(map(tuple, u)), residual, witnesses, worst)

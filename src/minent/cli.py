@@ -67,6 +67,33 @@ def _read_text(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
+# JSON values float() may accept; any other entry is rejected by shape.
+_NUMBER = (int, float, str)
+
+
+def _require_shape(value, shape, where: str) -> None:
+    """Raise DomainError naming ``where`` unless a JSON value has ``shape``.
+
+    ``float`` stands for a number, ``[s]`` for a list of ``s`` and
+    ``{field: s}`` for an object whose fields, where present, have ``s``.
+    """
+    if isinstance(shape, list):
+        if not isinstance(value, list):
+            raise DomainError(f"{where} is not a list")
+        if shape[0] is float and all(isinstance(v, _NUMBER) for v in value):
+            return
+        for k, item in enumerate(value, start=1):
+            _require_shape(item, shape[0], f"{where} item {k}")
+    elif isinstance(shape, dict):
+        if not isinstance(value, dict):
+            raise DomainError(f"{where} is not an object")
+        for field, inner in shape.items():
+            if field in value:
+                _require_shape(value[field], inner, f"{where} field {field!r}")
+    elif not isinstance(value, _NUMBER):
+        raise DomainError(f"{where} is not a number")
+
+
 def _parse_rows(text: str, key: str) -> list[list[float]]:
     stripped = text.lstrip()
     if stripped.startswith("{"):
@@ -74,6 +101,7 @@ def _parse_rows(text: str, key: str) -> list[list[float]]:
         if key not in doc:
             raise DomainError(f"JSON problem file lacks a {key!r} field")
         rows = doc[key]
+        _require_shape(rows, [[float]], repr(key))
     else:
         rows = [
             [float(cell) for cell in row if cell.strip() != ""]
@@ -124,11 +152,18 @@ def cmd_couple(args: argparse.Namespace) -> int:
     return 0
 
 
+# The layout ``couple --trace`` writes, as ``_require_shape`` reads it.
+_RUN_ENTRIES = [{"indices": [float], "mass": float}]
+_RUN_TRACE = [{"iteration": float, "indices": [float], "mass": float, "saturated": [[float]]}]
+
+
 def _load_run_file(path: str, marginals: tuple[Marginal, ...]):
     """Rebuild a (coupling, trace) pair from a ``couple --trace`` output file."""
     doc = json.loads(_read_text(path))
-    if "entries" not in doc or "trace" not in doc:
+    if not isinstance(doc, dict) or "entries" not in doc or "trace" not in doc:
         raise DomainError("run file needs both 'entries' and 'trace' fields")
+    _require_shape(doc["entries"], _RUN_ENTRIES, "run file 'entries'")
+    _require_shape(doc["trace"], _RUN_TRACE, "run file 'trace'")
     n = len(marginals[0])
     m = len(marginals)
     order = tuple(

@@ -78,9 +78,6 @@ class Marginal:
     def __iter__(self) -> Iterator[float]:
         return iter(self.probs)
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.probs, dtype=float)
-
 
 def coerce_marginals(
     marginals: Iterable[Marginal | Iterable[float]],
@@ -149,9 +146,6 @@ class ResidualVector:
     def __iter__(self) -> Iterator[float]:
         return iter(self.masses)
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.masses, dtype=float)
-
 
 @dataclass(frozen=True)
 class SparseCoupling:
@@ -215,8 +209,7 @@ MassLike = Marginal | ResidualVector | SparseCoupling | Mapping | Iterable[float
 
 
 def _mass_array(values: MassLike) -> np.ndarray:
-    if isinstance(values, (Marginal, ResidualVector)):
-        return values.as_array()
+    # a Marginal or ResidualVector iterates over its masses
     if isinstance(values, SparseCoupling):
         return np.asarray(values.masses(), dtype=float)
     if isinstance(values, Mapping):

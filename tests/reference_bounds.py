@@ -7,19 +7,27 @@ pointwise minimum taken by numpy, and two self-checks that the residual
 totals agree and, for two marginals, equal the total variation distance
 between the sorted marginals. Tests require the library's report to
 equal this one, signed zeros included.
+
+It also keeps the scaled outer product of the residuals, whose entropy
+meets the independence bound with equality; that identity is what caps
+the second phase's entropy contribution. Tests check the identity as a
+property of residual vectors; the library never builds the tensor.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from minent import (
     EPS_SUM,
+    EPS_ZERO,
     BoundReport,
     DimensionError,
+    DomainError,
     Marginal,
     ResidualVector,
     extended_entropy,
@@ -95,3 +103,73 @@ def bound_report(
         upper_bound=lower + slack,
         achieved=achieved,
     )
+
+
+def _coerce_residuals(
+    residuals: Sequence[ResidualVector | Iterable[float]],
+) -> tuple[ResidualVector, ...]:
+    rs = tuple(
+        r if isinstance(r, ResidualVector) else ResidualVector.of(r)
+        for r in residuals
+    )
+    if len(rs) < 2:
+        raise DomainError("need at least two residual vectors")
+    n = len(rs[0])
+    if any(len(r) != n for r in rs):
+        raise DimensionError(f"residual lengths differ: {[len(r) for r in rs]}")
+    total = rs[0].total
+    for r in rs[1:]:
+        if abs(r.total - total) > EPS_SUM:
+            raise DomainError(
+                f"residual totals differ: {r.total!r} vs {total!r}"
+            )
+    return rs
+
+
+def outer_product_coupling(
+    residuals: Sequence[ResidualVector | Iterable[float]],
+) -> dict[tuple[int, ...], float]:
+    """Scaled outer product of residuals sharing a common total T.
+
+    Returns the tensor ``R(i_1..i_m) = prod_j l_j(i_j) / T**(m-1)`` as a
+    sparse map with 1-based index tuples; its axis-j marginal is exactly
+    ``l_j``. A zero total is degenerate and yields an empty map.
+    """
+    rs = _coerce_residuals(residuals)
+    total = rs[0].total
+    if total <= EPS_ZERO:
+        return {}
+    m = len(rs)
+    scale = total ** (m - 1)
+    supports = [
+        [(i, v) for i, v in enumerate(r.masses) if v > 0.0] for r in rs
+    ]
+    out: dict[tuple[int, ...], float] = {}
+    for combo in product(*supports):
+        mass = 1.0
+        for _, v in combo:
+            mass *= v
+        out[tuple(i + 1 for i, _ in combo)] = mass / scale
+    return out
+
+
+def outer_product_entropy_identity(
+    residuals: Sequence[ResidualVector | Iterable[float]],
+) -> tuple[float, float]:
+    """Both sides of the outer-product entropy identity.
+
+    Returns ``(lhs, rhs)`` where ``lhs`` is the extended entropy of the
+    scaled outer product and ``rhs = sum_j h(l_j) + (m-1)*T*log2(T)``. The
+    two agree up to rounding; the identity is the equality case of the
+    independence bound on the second phase's entropy contribution.
+    """
+    rs = _coerce_residuals(residuals)
+    total = rs[0].total
+    lhs = extended_entropy(outer_product_coupling(rs))
+    if total <= EPS_ZERO:
+        return lhs, 0.0
+    m = len(rs)
+    rhs = math.fsum(extended_entropy(r) for r in rs) + (m - 1) * total * math.log2(
+        total
+    )
+    return lhs, rhs

@@ -27,11 +27,10 @@ from minent import (
     greedy_coupling,
     greedy_coupling_two_phase,
     infer_direction,
-    outer_product_coupling,
-    outer_product_entropy_identity,
     special_family,
 )
 
+from reference_bounds import outer_product_coupling, outer_product_entropy_identity
 from reference_certify import build_system, check_last_one_property
 
 CORPUS_SEED = 20260808

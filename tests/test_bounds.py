@@ -16,14 +16,13 @@ from minent import (
     extended_entropy,
     greedy_coupling,
     greedy_coupling_two_phase,
-    outer_product_coupling,
-    outer_product_entropy_identity,
     special_family,
 )
 
 from minent.cli import _clean
 
 from conftest import marginal_families, residual_families, tied_and_tiny_families
+from reference_bounds import outer_product_coupling, outer_product_entropy_identity
 
 
 class TestBoundReport:

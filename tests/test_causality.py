@@ -14,6 +14,7 @@ from minent import (
     extended_entropy,
     infer_direction,
 )
+from minent.greedy import SOLVERS
 
 from conftest import probability_vectors
 
@@ -124,6 +125,14 @@ class TestExogenousEstimate:
 
     def test_unknown_solver(self):
         with pytest.raises(DomainError):
+            exogenous_entropy_estimate([[0.5, 0.5], [0.5, 0.5]], "alg3")
+
+    def test_unknown_solver_names_the_registry(self, monkeypatch):
+        message = r"^unknown solver 'alg3'; use 'alg1' or 'alg2'$"
+        with pytest.raises(DomainError, match=message):
+            exogenous_entropy_estimate([[0.5, 0.5], [0.5, 0.5]], "alg3")
+        monkeypatch.setitem(SOLVERS, "alg9", SOLVERS["alg1"])
+        with pytest.raises(DomainError, match="use 'alg1' or 'alg2' or 'alg9'$"):
             exogenous_entropy_estimate([[0.5, 0.5], [0.5, 0.5]], "alg3")
 
 

@@ -136,7 +136,9 @@ class TestCertifyLocalOptimum:
             [[0.25] * 4, [0.375, 0.375, 0.125, 0.125]]
         )
         cert = certify_local_optimum(coupling, trace)
-        factors = cert.factor_vectors()
+        # per-axis factors 2**(u - 1/m) restate the product form
+        m = len(cert.u)
+        factors = [[2.0 ** (val - 1.0 / m) for val in vec] for vec in cert.u]
         for tup, mass in coupling.entries.items():
             product = 1.0
             for axis, state in enumerate(tup):

@@ -371,6 +371,53 @@ class TestOneIngestRule:
         assert message in err
 
 
+class TestMalformedShapes:
+    """JSON of the wrong shape exits 2 naming the field, not with a traceback."""
+
+    @pytest.mark.parametrize("command", ["couple", "certify", "bound"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"marginals": [0.5, 0.5]}', "'marginals' item 1 is not a list"),
+            ('{"marginals": [[0.5, 0.5], null]}', "'marginals' item 2 is not a list"),
+            ('{"marginals": [[0.5, null], [0.5, 0.5]]}', "'marginals' item 1 item 2 is not a number"),
+            ('{"marginals": 3}', "'marginals' is not a list"),
+        ],
+    )
+    def test_marginals_exit_2(self, tmp_path, capsys, command, text, message):
+        path = write(tmp_path, "bad.json", text)
+        code, out, err = run_cli(capsys, command, path)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_joint_exit_2(self, tmp_path, capsys):
+        path = write(tmp_path, "joint.json", '{"joint": [[0.5, 0.5], 3]}')
+        code, out, err = run_cli(capsys, "infer", path)
+        assert (code, out, err) == (2, "", "error: 'joint' item 2 is not a list\n")
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"entries": 3, "trace": []}, "run file 'entries' is not a list"),
+            ({"entries": [3], "trace": []}, "run file 'entries' item 1 is not an object"),
+            (
+                {"entries": [{"indices": None, "mass": 1.0}], "trace": []},
+                "run file 'entries' item 1 field 'indices' is not a list",
+            ),
+            ({"entries": [], "trace": {"a": 1}}, "run file 'trace' is not a list"),
+            (
+                {"entries": [], "trace": [{"iteration": 1, "indices": [1, 1], "mass": 1.0, "saturated": [3]}]},
+                "run file 'trace' item 1 field 'saturated' item 1 is not a list",
+            ),
+            (3, "run file needs both 'entries' and 'trace' fields"),
+        ],
+    )
+    def test_run_file_exit_2(self, tmp_path, capsys, doc, message):
+        path = problem_file(tmp_path, [[0.6, 0.4], [0.5, 0.5]])
+        run_file = write(tmp_path, "run.json", json.dumps(doc))
+        code, out, err = run_cli(capsys, "certify", path, "--trace-in", run_file)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",

@@ -11,7 +11,6 @@ from minent import (
     DimensionError,
     SizeCapError,
     bound_report,
-    enumerate_vertices,
     exact_min_entropy_2var,
     extended_entropy,
     greedy_coupling,
@@ -22,6 +21,7 @@ from minent import (
 from minent.greedy import SOLVERS
 
 from conftest import dirichlet_marginals, marginal_families, tied_and_tiny_families
+from reference_oracle import enumerate_vertices
 
 
 def brute_force_vertices(p, q):
