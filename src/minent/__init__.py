@@ -4,19 +4,16 @@ Greedy approximate solvers for the minimum entropy coupling problem,
 local-optimality certificates for their outputs, additive approximation
 bound reports, an exact branch-and-bound oracle for small two-marginal
 instances, and an entropic causal direction test built on the solvers.
+
+Only the causal direction test needs numpy. Its five names are imported
+on first access, so ``import minent`` and the ``couple``, ``certify`` and
+``bound`` commands start without numpy.
 """
 
 from .bounds import (
     BoundReport,
     bound_report,
     special_family,
-)
-from .causality import (
-    DirectionReport,
-    JointObservation,
-    conditionals_from_joint,
-    exogenous_entropy_estimate,
-    infer_direction,
 )
 from .certify import (
     EPS_CERT,
@@ -49,6 +46,26 @@ from .oracle import (
 )
 
 __version__ = "0.1.0"
+
+_CAUSALITY_NAMES = frozenset(
+    {
+        "DirectionReport",
+        "JointObservation",
+        "conditionals_from_joint",
+        "exogenous_entropy_estimate",
+        "infer_direction",
+    }
+)
+
+
+def __getattr__(name: str):
+    if name in _CAUSALITY_NAMES:
+        from . import causality
+
+        value = getattr(causality, name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "BoundReport",

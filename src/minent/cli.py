@@ -19,13 +19,12 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-import numpy as np
-
 from .bounds import bound_report, special_family
-from .causality import JointObservation, infer_direction
 from .certify import CertificationError, certify_local_optimum
 from .core import (
     EPS_MARG,
@@ -41,24 +40,51 @@ from .greedy import SOLVERS, GreedyStep, GreedyTrace
 from .oracle import SizeCapError, exact_min_entropy_2var
 
 
-def _round12(value: float) -> float:
-    return float(f"{value:.12g}")
+def _json_text(obj, indent: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)`` with every float first rounded to 12
+    significant digits, written in one pass.
 
-
-def _clean(obj):
-    if isinstance(obj, bool):
-        return obj
+    Handles what the commands emit: dicts with string keys, lists and
+    tuples, strings, bools, ints, floats (NaN and infinities as JSON's
+    ``NaN`` and ``Infinity``) and None. ``indent`` is the newline and
+    indentation that precede the value's closing bracket.
+    """
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
     if isinstance(obj, float):
-        return _round12(obj)
+        value = float(f"{obj:.12g}")
+        if math.isfinite(value):
+            return float.__repr__(value)
+        if value != value:
+            return "NaN"
+        return "Infinity" if value > 0.0 else "-Infinity"
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    inner = indent + "  "
     if isinstance(obj, dict):
-        return {k: _clean(v) for k, v in obj.items()}
+        if not obj:
+            return "{}"
+        items = [
+            encode_basestring_ascii(key) + ": " + _json_text(value, inner)
+            for key, value in obj.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
     if isinstance(obj, (list, tuple)):
-        return [_clean(v) for v in obj]
-    return obj
+        if not obj:
+            return "[]"
+        items = [_json_text(value, inner) for value in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _emit(payload: dict) -> None:
-    sys.stdout.write(json.dumps(_clean(payload), indent=2) + "\n")
+    sys.stdout.write(_json_text(payload) + "\n")
 
 
 def _read_text(path: str) -> str:
@@ -67,8 +93,10 @@ def _read_text(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-# JSON values float() may accept; any other entry is rejected by shape.
-_NUMBER = (int, float, str)
+def _is_number(value) -> bool:
+    # json.loads gives an int or a float for a JSON number; bool is an int
+    # subclass, so an exact type check keeps true and false out
+    return type(value) in (int, float)
 
 
 def _require_shape(value, shape, where: str) -> None:
@@ -80,7 +108,7 @@ def _require_shape(value, shape, where: str) -> None:
     if isinstance(shape, list):
         if not isinstance(value, list):
             raise DomainError(f"{where} is not a list")
-        if shape[0] is float and all(isinstance(v, _NUMBER) for v in value):
+        if shape[0] is float and all(map(_is_number, value)):
             return
         for k, item in enumerate(value, start=1):
             _require_shape(item, shape[0], f"{where} item {k}")
@@ -90,7 +118,7 @@ def _require_shape(value, shape, where: str) -> None:
         for field, inner in shape.items():
             if field in value:
                 _require_shape(value[field], inner, f"{where} field {field!r}")
-    elif not isinstance(value, _NUMBER):
+    elif not _is_number(value):
         raise DomainError(f"{where} is not a number")
 
 
@@ -248,6 +276,9 @@ def _load_samples(text: str) -> list[tuple[int, int]]:
 
 
 def cmd_infer(args: argparse.Namespace) -> int:
+    # causality needs numpy; the other commands start without it
+    from .causality import JointObservation, infer_direction
+
     text = _read_text(args.input)
     if args.samples:
         obs = JointObservation.from_samples(_load_samples(text))
@@ -278,6 +309,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
             raise DomainError(f"--n must be at least 1, got {args.n}")
         if args.m < 2:
             raise DomainError(f"--m must be at least 2, got {args.m}")
+        # numpy's generator, so a seed gives the files it always gave
+        import numpy as np
+
         rng = np.random.default_rng(args.seed)
         marginals = rng.dirichlet(np.ones(args.n), size=args.m)
         _emit(

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
-import numpy as np
-
 # Sum-to-one checks on distributions.
 EPS_SUM = 1e-9
 # Agreement required when a coupling's marginal is compared to its target.
@@ -208,34 +206,36 @@ class SparseCoupling:
 MassLike = Marginal | ResidualVector | SparseCoupling | Mapping | Iterable[float]
 
 
-def _mass_array(values: MassLike) -> np.ndarray:
-    # a Marginal or ResidualVector iterates over its masses
-    if isinstance(values, SparseCoupling):
-        return np.asarray(values.masses(), dtype=float)
-    if isinstance(values, Mapping):
-        return np.asarray(list(values.values()), dtype=float)
-    return np.asarray(list(values), dtype=float)
-
-
 def extended_entropy(values: MassLike) -> float:
     """-sum(v * log2 v) in bits over any nonnegative vector, with 0 log 0 = 0.
 
     Accepts a :class:`Marginal`, a :class:`ResidualVector`, a
     :class:`SparseCoupling` (its mass multiset), a mapping from indices to
     masses, or any iterable of floats. The input does not have to sum to 1,
-    but every entry must be finite.
+    but every entry must be finite. The terms are summed by ``math.fsum``,
+    so the result does not depend on the order of the masses.
     """
-    arr = _mass_array(values)
-    if arr.size == 0:
+    # the three distribution types validated their entries on construction
+    if isinstance(values, SparseCoupling):
+        masses = values.entries.values()
+    elif isinstance(values, Marginal):
+        masses = values.probs
+    elif isinstance(values, ResidualVector):
+        masses = values.masses
+    else:
+        if isinstance(values, Mapping):
+            values = values.values()
+        masses = [float(v) for v in values]
+        require_finite(masses, "entropy input")
+        if masses and min(masses) < 0.0:
+            raise DomainError(
+                f"negative entry {min(masses)!r} passed to extended_entropy"
+            )
+    log2 = math.log2
+    terms = [v * log2(v) for v in masses if v > 0.0]
+    if not terms:
         return 0.0
-    if not np.isfinite(arr).all():
-        require_finite(arr.tolist(), "entropy input")
-    if float(arr.min()) < 0.0:
-        raise DomainError(f"negative entry {arr.min()!r} passed to extended_entropy")
-    pos = arr[arr > 0.0]
-    if pos.size == 0:
-        return 0.0
-    return float(-np.sum(pos * np.log2(pos)))
+    return -math.fsum(terms)
 
 
 def sorted_sweep(

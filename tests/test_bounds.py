@@ -19,10 +19,9 @@ from minent import (
     special_family,
 )
 
-from minent.cli import _clean
-
 from conftest import marginal_families, residual_families, tied_and_tiny_families
 from reference_bounds import outer_product_coupling, outer_product_entropy_identity
+from reference_cli import _clean
 
 
 class TestBoundReport:

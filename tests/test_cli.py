@@ -2,10 +2,14 @@ import json
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from minent import Marginal, SparseCoupling, marginalize
-from minent.cli import main
+from minent.cli import _json_text, main
 from minent.greedy import SOLVERS
+
+from reference_cli import reference_json_text
 
 
 def write(tmp_path, name, text):
@@ -382,6 +386,10 @@ class TestMalformedShapes:
             ('{"marginals": [[0.5, 0.5], null]}', "'marginals' item 2 is not a list"),
             ('{"marginals": [[0.5, null], [0.5, 0.5]]}', "'marginals' item 1 item 2 is not a number"),
             ('{"marginals": 3}', "'marginals' is not a list"),
+            # only JSON numbers are masses: not booleans, not numeric strings
+            ('{"marginals": [[true, false], [0.5, 0.5]]}', "'marginals' item 1 item 1 is not a number"),
+            ('{"marginals": [[0.5, 0.5], [1, false]]}', "'marginals' item 2 item 2 is not a number"),
+            ('{"marginals": [["0.5", "0.5"], [0.5, 0.5]]}', "'marginals' item 1 item 1 is not a number"),
         ],
     )
     def test_marginals_exit_2(self, tmp_path, capsys, command, text, message):
@@ -393,6 +401,13 @@ class TestMalformedShapes:
         path = write(tmp_path, "joint.json", '{"joint": [[0.5, 0.5], 3]}')
         code, out, err = run_cli(capsys, "infer", path)
         assert (code, out, err) == (2, "", "error: 'joint' item 2 is not a list\n")
+
+    @pytest.mark.parametrize("cell", ["true", "false", '"0.25"'])
+    def test_joint_non_number_exit_2(self, tmp_path, capsys, cell):
+        text = '{"joint": [[%s, 0.25], [0.25, 0.25]]}' % cell
+        path = write(tmp_path, "joint.json", text)
+        code, out, err = run_cli(capsys, "infer", path)
+        assert (code, out, err) == (2, "", "error: 'joint' item 1 item 1 is not a number\n")
 
     @pytest.mark.parametrize(
         "doc, message",
@@ -409,6 +424,14 @@ class TestMalformedShapes:
                 "run file 'trace' item 1 field 'saturated' item 1 is not a list",
             ),
             (3, "run file needs both 'entries' and 'trace' fields"),
+            (
+                {"entries": [{"indices": [1, 1], "mass": True}], "trace": []},
+                "run file 'entries' item 1 field 'mass' is not a number",
+            ),
+            (
+                {"entries": [], "trace": [{"iteration": "1", "indices": [1, 1], "mass": 1.0}]},
+                "run file 'trace' item 1 field 'iteration' is not a number",
+            ),
         ],
     )
     def test_run_file_exit_2(self, tmp_path, capsys, doc, message):
@@ -416,6 +439,37 @@ class TestMalformedShapes:
         run_file = write(tmp_path, "run.json", json.dumps(doc))
         code, out, err = run_cli(capsys, "certify", path, "--trace-in", run_file)
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+json_floats = st.floats() | st.sampled_from(
+    [-0.0, math.nan, math.inf, -math.inf, 5e-324, 2.5e-310, 1e300, 1e-5, 1e16, 0.1 + 0.2]
+)
+json_ints = st.integers() | st.sampled_from([-(2**63), 2**64, 10**40, -(10**40)])
+json_strings = st.text() | st.sampled_from(
+    ["", '"', "\\", 'a \\"quoted\\" \\\\ path', "\x00\x1f\x7f\n\t\r\b\f", "caf\u00e9 \u2264 \U0001f600 \ud800"]
+)
+json_values = st.recursive(
+    st.none() | st.booleans() | json_ints | json_floats | json_strings,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.dictionaries(json_strings, inner, max_size=5),
+    max_leaves=25,
+)
+
+
+class TestJsonWriter:
+    """The one-pass writer prints what rounding then json.dumps(indent=2) did."""
+
+    @given(json_values)
+    @example({"x": -0.0, "rows": [[], {}, ()], "flags": [True, False, None, 1]})
+    @example(0.1 + 0.2)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference(self, value):
+        assert _json_text(value) == reference_json_text(value)
+
+    def test_rejects_what_json_rejects(self):
+        with pytest.raises(TypeError):
+            _json_text({"a": {1, 2}})
 
 
 class TestDeterminism:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from minent.core import coerce_marginals, sorted_sweep
 
 from conftest import marginal_families, probability_vectors, tied_and_tiny_families
 from reference_bounds import sort_decreasing, total_variation_sorted
+from reference_entropy import reference_entropy
 
 
 class TestMarginal:
@@ -134,12 +136,24 @@ class TestSparseCoupling:
             SparseCoupling(1, (2,), {(1,): 1.0})
 
 
+# masses in [0, 1], subnormals and exact zeros included: every term
+# -v log2 v is then nonnegative, so a relative comparison is meaningful
+unit_masses = st.floats(min_value=0.0, max_value=1.0) | st.sampled_from(
+    [0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1.0]
+)
+
+
 class TestExtendedEntropy:
     def test_uniform_binary(self):
         assert extended_entropy([0.5, 0.5]) == pytest.approx(1.0, abs=1e-12)
 
     def test_point_mass(self):
         assert extended_entropy([1.0]) == 0.0
+
+    def test_signed_zeros(self):
+        # a point mass gives -0.0 (the CLI prints it); no positive entry, +0.0
+        assert signs([extended_entropy([1.0]), extended_entropy([0.0, 1.0])]) == [-1.0, -1.0]
+        assert signs([extended_entropy([]), extended_entropy([0.0, -0.0])]) == [1.0, 1.0]
 
     def test_unnormalized_vector(self):
         # three terms, each -0.5*log2(0.5) = 0.5
@@ -151,6 +165,11 @@ class TestExtendedEntropy:
     def test_rejects_negative(self):
         with pytest.raises(DomainError):
             extended_entropy([0.5, -0.5])
+
+    @pytest.mark.parametrize("values", [[0.5, -0.5], np.array([0.5, -0.5]), {(1,): -0.5}])
+    def test_negative_entry_named_as_a_float(self, values):
+        with pytest.raises(DomainError, match=re.escape("negative entry -0.5 passed")):
+            extended_entropy(values)
 
     def test_applies_to_all_mass_carriers(self):
         p = Marginal.of([0.5, 0.5])
@@ -164,14 +183,39 @@ class TestExtendedEntropy:
         h = extended_entropy(probs)
         assert -1e-9 <= h <= math.log2(len(probs)) + 1e-9
 
-    @given(probability_vectors(), st.randoms())
-    @settings(max_examples=100)
+    @given(probability_vectors() | st.lists(unit_masses, max_size=80), st.randoms())
+    @settings(max_examples=200)
     def test_permutation_invariant(self, probs, rand):
         shuffled = probs[:]
         rand.shuffle(shuffled)
-        assert extended_entropy(shuffled) == pytest.approx(
-            extended_entropy(probs), abs=1e-10
-        )
+        assert extended_entropy(shuffled) == extended_entropy(probs)
+
+    def test_order_free_on_random_vectors(self):
+        # a pairwise float sum depends on order: 484 of these 1,000 vectors
+        # moved under numpy's; fsum rounds the exact sum once
+        rng = np.random.default_rng(2026)
+        moved = 0
+        for _ in range(1000):
+            n = int(rng.integers(2, 65))
+            xs = [float(v) for v in rng.dirichlet(np.ones(n))]
+            ys = [xs[i] for i in rng.permutation(n)]
+            moved += extended_entropy(xs) != extended_entropy(ys)
+        assert moved == 0
+
+    @given(st.lists(unit_masses, max_size=80))
+    @settings(max_examples=200)
+    def test_matches_numpy_reference(self, xs):
+        assert math.isclose(extended_entropy(xs), reference_entropy(xs), rel_tol=1e-12)
+
+    @given(marginal_families(max_n=12) | tied_and_tiny_families())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_numpy_reference_on_solver_output(self, family):
+        for solve in (greedy_coupling, greedy_coupling_two_phase):
+            coupling, _ = solve(family)
+            for carrier in (coupling, Marginal.of(family[0]), ResidualVector.of(family[1])):
+                assert math.isclose(
+                    extended_entropy(carrier), reference_entropy(carrier), rel_tol=1e-12
+                )
 
     @given(probability_vectors(), probability_vectors())
     @settings(max_examples=100)

@@ -13,7 +13,10 @@ from pathlib import Path
 
 import pytest
 
-from minent.cli import main
+from minent import cli
+from minent.cli import _json_text, main
+
+from reference_cli import reference_json_text
 
 GOLDEN = json.loads(
     Path(__file__).with_name("golden_cli.json").read_text(encoding="utf-8")
@@ -44,6 +47,20 @@ def test_replays_byte_for_byte(workdir, capsys, monkeypatch, case):
         case["stdout"],
         case["stderr"],
     )
+
+
+@pytest.mark.parametrize(
+    "case", GOLDEN["cases"], ids=[" ".join(case["argv"]) for case in GOLDEN["cases"]]
+)
+def test_writer_matches_reference_on_payload(workdir, capsys, monkeypatch, case):
+    payloads = []
+    monkeypatch.setattr(cli, "_emit", payloads.append)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(case.get("stdin", "")))
+    main(list(case["argv"]))
+    capsys.readouterr()
+    assert len(payloads) == (case["stdout"] != "")
+    for payload in payloads:
+        assert _json_text(payload) == reference_json_text(payload)
 
 
 def test_covers_every_subcommand_and_solver():
