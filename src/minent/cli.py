@@ -99,16 +99,23 @@ def _is_number(value) -> bool:
     return type(value) in (int, float)
 
 
+def _is_integral(value) -> bool:
+    return type(value) is int or (type(value) is float and value.is_integer())
+
+
 def _require_shape(value, shape, where: str) -> None:
     """Raise DomainError naming ``where`` unless a JSON value has ``shape``.
 
-    ``float`` stands for a number, ``[s]`` for a list of ``s`` and
-    ``{field: s}`` for an object whose fields, where present, have ``s``.
+    ``float`` stands for a number, ``int`` for a number with no fractional
+    part, ``[s]`` for a list of ``s`` and ``{field: s}`` for an object
+    whose fields, where present, have ``s``.
     """
     if isinstance(shape, list):
         if not isinstance(value, list):
             raise DomainError(f"{where} is not a list")
         if shape[0] is float and all(map(_is_number, value)):
+            return
+        if shape[0] is int and all(map(_is_integral, value)):
             return
         for k, item in enumerate(value, start=1):
             _require_shape(item, shape[0], f"{where} item {k}")
@@ -120,6 +127,8 @@ def _require_shape(value, shape, where: str) -> None:
                 _require_shape(value[field], inner, f"{where} field {field!r}")
     elif not _is_number(value):
         raise DomainError(f"{where} is not a number")
+    elif shape is int and not _is_integral(value):
+        raise DomainError(f"{where} is not an integer")
 
 
 def _parse_rows(text: str, key: str) -> list[list[float]]:
@@ -181,8 +190,8 @@ def cmd_couple(args: argparse.Namespace) -> int:
 
 
 # The layout ``couple --trace`` writes, as ``_require_shape`` reads it.
-_RUN_ENTRIES = [{"indices": [float], "mass": float}]
-_RUN_TRACE = [{"iteration": float, "indices": [float], "mass": float, "saturated": [[float]]}]
+_RUN_ENTRIES = [{"indices": [int], "mass": float}]
+_RUN_TRACE = [{"iteration": int, "indices": [int], "mass": float, "saturated": [[int]]}]
 
 
 def _load_run_file(path: str, marginals: tuple[Marginal, ...]):

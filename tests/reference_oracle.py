@@ -2,11 +2,17 @@
 
 The library walks the canonical saturating orders by branch-and-bound and
 keeps one candidate per support. This module keeps the full enumeration
-it replaces: every canonical order through ``oracle._leaves`` with no
-limit, leaves merged when their supports match and their masses agree
+it replaces: every canonical order through this module's own walker with
+no limit, leaves merged when their supports match and their masses agree
 within 1e-9, and a ``SparseCoupling`` built for every vertex. Tests
 require the library's optimum to equal this one's ``best`` and
 ``best_entropy`` exactly.
+
+``_collect`` and ``_leaves`` here are the library's walker as it was
+before its per-node work was cut: each node tests its own bound, rebuilds
+its live lines and calls ``_h`` and ``_snap``. Tests require
+``oracle._leaves`` to return exactly the same leaf list, in the same
+order, at any limit.
 """
 
 from __future__ import annotations
@@ -16,7 +22,85 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from minent import Marginal, SparseCoupling, extended_entropy
-from minent.oracle import DEFAULT_N_CAP, _Candidate, _capped, _leaves
+from minent.oracle import DEFAULT_N_CAP, _Candidate, _capped, _h, _snap
+
+
+def _collect(
+    rows: list[float],
+    cols: list[float],
+    width: int,
+    prev_row: int,
+    prev_col: int,
+    acc: list[tuple[int, float]],
+    out: list[tuple[float, _Candidate]],
+    limit: float,
+    partial: float,
+    h_rows: float,
+    h_cols: float,
+) -> None:
+    """Append ``(partial entropy, cells)`` for each canonical order's leaf.
+
+    ``partial`` is the entropy of the cells in ``acc``; ``h_rows`` and
+    ``h_cols`` are the unnormalised entropies of the live residuals. A
+    node whose ``partial + max(h_rows, h_cols)`` exceeds ``limit`` is
+    pruned; with ``limit = inf`` every canonical order is walked.
+    """
+    if partial + max(h_rows, h_cols) > limit:
+        return
+    live_rows = [i for i, v in enumerate(rows) if v > 0.0]
+    live_cols = [j for j, v in enumerate(cols) if v > 0.0]
+    if not live_rows or not live_cols:
+        out.append((partial, tuple(acc)))
+        return
+    prev_code = prev_row * width + prev_col
+    for i in live_rows:
+        row_mass = rows[i]
+        base = i * width
+        h_row = _h(row_mass)
+        for j in live_cols:
+            col_mass = cols[j]
+            if base + j < prev_code:
+                # Skip the non-canonical (decreasing) interleaving of two
+                # assignments that commute: cells on disjoint lines always
+                # do, and cells sharing a line do when each saturates its
+                # cross line either way.
+                if i != prev_row and j != prev_col:
+                    continue
+                if i == prev_row and col_mass <= row_mass:
+                    continue
+                if j == prev_col and row_mass <= col_mass:
+                    continue
+            h_col = _h(col_mass)
+            if row_mass <= col_mass:
+                mass, h_mass = row_mass, h_row
+            else:
+                mass, h_mass = col_mass, h_col
+            rows[i] = row_left = _snap(row_mass - mass)
+            cols[j] = col_left = _snap(col_mass - mass)
+            acc.append((base + j, mass))
+            _collect(
+                rows, cols, width, i, j, acc, out, limit,
+                partial + h_mass,
+                h_rows - h_row + _h(row_left),
+                h_cols - h_col + _h(col_left),
+            )
+            acc.pop()
+            rows[i] = row_mass
+            cols[j] = col_mass
+
+
+def _leaves(
+    pm: Marginal, qm: Marginal, limit: float
+) -> list[tuple[float, _Candidate]]:
+    """Every canonical order's ``(entropy, cells)`` not pruned at ``limit``."""
+    rows = [_snap(v) for v in pm.probs]
+    cols = [_snap(v) for v in qm.probs]
+    out: list[tuple[float, _Candidate]] = []
+    _collect(
+        rows, cols, len(rows), -1, -1, [], out, limit, 0.0,
+        math.fsum(map(_h, rows)), math.fsum(map(_h, cols)),
+    )
+    return out
 
 
 @dataclass(frozen=True)

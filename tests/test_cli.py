@@ -440,6 +440,67 @@ class TestMalformedShapes:
         code, out, err = run_cli(capsys, "certify", path, "--trace-in", run_file)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (
+                {"entries": [{"indices": [1.7, 1.7], "mass": 1.0}], "trace": []},
+                "run file 'entries' item 1 field 'indices' item 1 is not an integer",
+            ),
+            (
+                {"entries": [], "trace": [{"iteration": 1.5, "indices": [1, 1], "mass": 1.0}]},
+                "run file 'trace' item 1 field 'iteration' is not an integer",
+            ),
+            (
+                {"entries": [], "trace": [{"iteration": 1, "indices": [1, 2.25], "mass": 1.0}]},
+                "run file 'trace' item 1 field 'indices' item 2 is not an integer",
+            ),
+            (
+                {"entries": [], "trace": [{"iteration": 1, "indices": [1, 1], "mass": 1.0, "saturated": [[1, 1.5]]}]},
+                "run file 'trace' item 1 field 'saturated' item 1 item 2 is not an integer",
+            ),
+            (
+                {"entries": [{"indices": [1, float("inf")], "mass": 1.0}], "trace": []},
+                "run file 'entries' item 1 field 'indices' item 2 is not an integer",
+            ),
+        ],
+    )
+    def test_run_file_non_integral_exit_2(self, tmp_path, capsys, doc, message):
+        path = problem_file(tmp_path, [[0.6, 0.4], [0.5, 0.5]])
+        run_file = write(tmp_path, "run.json", json.dumps(doc))
+        code, out, err = run_cli(capsys, "certify", path, "--trace-in", run_file)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_shifted_run_file_exit_2(self, tmp_path, capsys):
+        # int() used to truncate every shifted index back to the original,
+        # so this file certified with exit 0
+        path = problem_file(tmp_path, [[0.6, 0.4], [0.5, 0.5]])
+        _, out, _ = run_cli(capsys, "couple", path, "--alg", "2", "--trace")
+        doc = json.loads(out)
+        for section in ("entries", "trace"):
+            for item in doc[section]:
+                item["indices"] = [i + 0.7 for i in item["indices"]]
+        run_file = write(tmp_path, "shifted.json", json.dumps(doc))
+        code, out, err = run_cli(capsys, "certify", path, "--trace-in", run_file)
+        message = "run file 'entries' item 1 field 'indices' item 1 is not an integer"
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_integral_floats_still_read(self, tmp_path, capsys):
+        path = problem_file(tmp_path, [[0.6, 0.4], [0.5, 0.5]])
+        _, out, _ = run_cli(capsys, "couple", path, "--alg", "2", "--trace")
+        run_file = write(tmp_path, "run.json", out)
+        expected = run_cli(capsys, "certify", path, "--trace-in", run_file)
+        doc = json.loads(out)
+        for section in ("entries", "trace"):
+            for item in doc[section]:
+                item["indices"] = [float(i) for i in item["indices"]]
+                if "iteration" in item:
+                    item["iteration"] = float(item["iteration"])
+                    item["saturated"] = [[float(a), float(s)] for a, s in item["saturated"]]
+        as_floats = write(tmp_path, "floats.json", json.dumps(doc))
+        assert run_cli(capsys, "certify", path, "--trace-in", as_floats) == expected
+        assert expected[0] == 0
+
 
 json_floats = st.floats() | st.sampled_from(
     [-0.0, math.nan, math.inf, -math.inf, 5e-324, 2.5e-310, 1e300, 1e-5, 1e16, 0.1 + 0.2]

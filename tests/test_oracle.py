@@ -18,8 +18,10 @@ from minent import (
     marginalize,
     special_family,
 )
+from minent import oracle
 from minent.greedy import SOLVERS
 
+import reference_oracle
 from conftest import dirichlet_marginals, marginal_families, tied_and_tiny_families
 from reference_oracle import enumerate_vertices
 
@@ -197,6 +199,51 @@ def assert_same_as_enumeration(p, q):
     assert best_entropy == vertex_set.best_entropy
 
 
+def assert_same_leaves(family, shift, limits=("inf", "incumbent")):
+    """The walker's leaf list equals the reference walker's, in order."""
+    p, q = family
+    pm, qm = oracle._capped(p, [v * (1.0 + shift) for v in q], oracle.DEFAULT_N_CAP)
+    incumbent = min(extended_entropy(solve([pm, qm])[0]) for solve in SOLVERS.values())
+    for name in limits:
+        limit = math.inf if name == "inf" else incumbent + oracle._SLACK
+        assert oracle._leaves(pm, qm, limit) == reference_oracle._leaves(pm, qm, limit)
+
+
+def two_marginals(min_n, max_n):
+    """Random or tied-and-tiny pairs, and a shift of the second total by
+    up to 0.49 * EPS_MARG, or none."""
+    return st.tuples(
+        st.one_of(
+            marginal_families(min_m=2, max_m=2, min_n=min_n, max_n=max_n),
+            tied_and_tiny_families(min_m=2, max_m=2, min_n=min_n, max_n=max_n),
+        ),
+        st.just(0.0) | st.floats(min_value=-0.49 * EPS_MARG, max_value=0.49 * EPS_MARG),
+    )
+
+
+class TestWalker:
+    """``oracle._leaves`` returns the reference walker's leaves exactly."""
+
+    @given(case=two_marginals(1, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_up_to_four_states(self, case):
+        assert_same_leaves(*case)
+
+    @given(case=two_marginals(5, 5))
+    @settings(max_examples=10, deadline=None)
+    def test_five_states_at_incumbent(self, case):
+        assert_same_leaves(*case, limits=("incumbent",))
+
+    @given(case=two_marginals(5, 5))
+    @settings(max_examples=2, deadline=None)
+    def test_five_states_unpruned(self, case):
+        # few examples: an unpruned walk at n = 5 can take seconds
+        assert_same_leaves(*case, limits=("inf",))
+
+    def test_root_pruned(self):
+        assert oracle._leaves(*oracle._capped([0.5, 0.5], [0.5, 0.5], 5), 0.5) == []
+
+
 class TestBranchAndBound:
     """The pruned search returns exactly the full enumeration's optimum."""
 
@@ -245,6 +292,35 @@ class TestBranchAndBound:
     )
     def test_fixed_cases(self, p, q):
         assert_same_as_enumeration(p, q)
+
+    @pytest.mark.parametrize(
+        "p,q",
+        [
+            (
+                [0.4, 0.2, 0.15, 0.1, 0.1, 0.05],
+                [0.3, 0.3, 0.2, 0.1, 0.05, 0.05],
+            ),
+            (
+                [0.12, 0.04, 0.49, 0.11, 0.11, 0.13],
+                [0.15, 0.11, 0.42, 0.1, 0.07, 0.15],
+            ),
+            (
+                [0.02, 0.2, 0.03, 0.42, 0.23, 0.1],
+                [0.03, 0.4, 0.29, 0.11, 0.03, 0.14],
+            ),
+        ],
+        ids=["skewed-6", "greedy-gap-6", "spread-6"],
+    )
+    def test_six_states(self, p, q):
+        # beyond the default cap, so no full enumeration to compare with;
+        # each problem takes well under a second
+        _, optimum = exact_min_entropy_2var(p, q, n_cap=6)
+        floor = max(extended_entropy(p), extended_entropy(q))
+        achieved = min(
+            extended_entropy(solve([p, q])[0])
+            for solve in (greedy_coupling, greedy_coupling_two_phase)
+        )
+        assert floor - 1e-9 <= optimum <= achieved + 1e-9
 
     def test_size_cap_before_any_solver(self, monkeypatch):
         def unreachable(*args):
