@@ -13,8 +13,27 @@ masses are read up front from ``core.sorted_sweep``, the same sweep
 no mass is that small, the sweep's masses are the report's
 ``pointwise_min`` and the update loop receives the report's residuals
 ``l_j``. That loop keeps one max-heap per marginal keyed
-``(-mass, state)``, so ties go to the lowest state. Cost:
+``(-mass, state)``, so ties go to the lowest state, and holds each
+marginal's current top out of its heap: a reduced top goes back with
+``heappushpop``, which hands over the new top in the same call. Cost:
 O(n*m*log n + steps*m*log n) with ``steps <= n*m - m + 1``.
+
+Per step, both solvers together went from 11.2 to 7.8 us in a traced
+pass of the benchmark's ``large`` workload (seed 1, 2-core machine),
+from the held-out tops and from steps built as a ``NamedTuple`` through
+``tuple.__new__`` (0.27 us, against 0.43 us through its constructor and
+0.95 us for the frozen dataclass ``GreedyStep`` was). Measured and not
+kept:
+
+- computing the sweep's saturations per axis up front: 1.02x;
+- float-keyed heaps: ``heappushpop`` takes 0.22 us against 0.39 us with
+  tuple keys, which does not pay for the extra lookup that keeps ties
+  going to the lowest state;
+- relying on ``heappushpop``'s early return: the reduced top stayed on
+  top in 0 of 3,989 steps at n = 2000, m = 2;
+- a C-level fast path for ``SparseCoupling`` validation: 1.09x at
+  n = 2000, m = 2 but 0.91x at n = 4, m = 3, and a second construction
+  path besides.
 
 Both solvers record a full :class:`GreedyTrace`; the trace carries the
 structural information the ``certify`` module turns into a
@@ -23,20 +42,21 @@ local-optimality certificate.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from heapq import heapify, heappop, heappushpop
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import EPS_ZERO, Marginal, SparseCoupling, coerce_marginals, sorted_sweep
 
 
-@dataclass(frozen=True)
-class GreedyStep:
+class GreedyStep(NamedTuple):
     """One solver assignment: a cell, its mass, and the constraints it closed.
 
     ``saturated_axes`` holds the (axis, state) pairs, 1-based, whose
     residual mass is exactly zero after this step. Two-phase runs may
-    record zero-mass steps; those never enter the coupling itself.
+    record zero-mass steps; those never enter the coupling itself. The
+    solvers build steps with ``tuple.__new__``, which skips the keyword
+    handling of the generated constructor.
     """
 
     iteration: int
@@ -61,7 +81,7 @@ class GreedyTrace:
         return len(self.steps)
 
     def positive_steps(self) -> tuple[GreedyStep, ...]:
-        return tuple(s for s in self.steps if s.mass > 0.0)
+        return tuple([s for s in self.steps if s.mass > 0.0])
 
 
 def _sweep(
@@ -72,19 +92,23 @@ def _sweep(
     """Phase one: round t assigns the minimum of every marginal's t-th largest mass."""
     # no state changes before its round, so the masses can be read up front
     ranks, masses = sorted_sweep(resid)
-    for cell, mass in zip(zip(*ranks), masses):
-        tup = tuple(j + 1 for j in cell)
+    cells = zip(*[[j + 1 for j in rank] for rank in ranks])
+    for tup, mass in zip(cells, masses):
         if mass > 0.0:
             if tup in entries:
                 raise RuntimeError(f"greedy solver revisited cell {tup}")
             entries[tup] = mass
         saturated = []
-        for axis, (row, j) in enumerate(zip(resid, cell), start=1):
-            left = row[j] - mass
-            row[j] = 0.0 if left <= EPS_ZERO else left
-            if row[j] == 0.0:
-                saturated.append((axis, j + 1))
-        steps.append(GreedyStep(len(steps) + 1, tup, mass, frozenset(saturated)))
+        for axis, (row, state) in enumerate(zip(resid, tup), start=1):
+            left = row[state - 1] - mass
+            if left <= EPS_ZERO:
+                row[state - 1] = 0.0
+                saturated.append((axis, state))
+            else:
+                row[state - 1] = left
+        steps.append(
+            tuple.__new__(GreedyStep, (len(steps) + 1, tup, mass, frozenset(saturated)))
+        )
 
 
 def _update_until_drained(
@@ -95,34 +119,48 @@ def _update_until_drained(
     """Run pick-max/assign-min rounds until some marginal is exhausted.
 
     Every residual is 0 or above EPS_ZERO, so a marginal is exhausted when
-    its heap of nonzero residuals is empty; the others then hold at most
-    the EPS_MARG / 2 by which ingest lets the totals differ.
+    its nonzero residuals run out; the others then hold at most the
+    EPS_MARG / 2 by which ingest lets the totals differ. Marginal k's
+    largest residual is ``-negs[k]`` at ``states[k]``, held out of its heap.
     """
     m, n = len(resid), len(resid[0])
     heaps = [[(-v, j) for j, v in enumerate(row, start=1) if v > 0.0] for row in resid]
+    if not all(heaps):
+        return
+    negs, states = [], []
     for heap in heaps:
-        heapq.heapify(heap)
+        heapify(heap)
+        neg, state = heappop(heap)
+        negs.append(neg)
+        states.append(state)
+    axes = range(m)
     limit = n * m - m + 1
-    while all(heaps):
+    drained = False
+    while not drained:
         if len(steps) >= limit:
             raise RuntimeError(
                 f"greedy solver exceeded the {limit}-step bound for n={n}, m={m}"
             )
-        tops = [heap[0] for heap in heaps]
-        mass = -max(tops)[0]
-        tup = tuple([state for _, state in tops])
+        mass = -max(negs)
+        tup = tuple(states)
         if tup in entries:
             raise RuntimeError(f"greedy solver revisited cell {tup}")
         entries[tup] = mass
         saturated = []
-        for axis, (heap, (neg, state)) in enumerate(zip(heaps, tops), start=1):
-            left = -neg - mass
+        for k in axes:
+            left = -negs[k] - mass
             if left <= EPS_ZERO:
-                heapq.heappop(heap)
-                saturated.append((axis, state))
+                saturated.append((k + 1, states[k]))
+                heap = heaps[k]
+                if heap:
+                    negs[k], states[k] = heappop(heap)
+                else:
+                    drained = True
             else:
-                heapq.heapreplace(heap, (-left, state))
-        steps.append(GreedyStep(len(steps) + 1, tup, mass, frozenset(saturated)))
+                negs[k], states[k] = heappushpop(heaps[k], (-left, states[k]))
+        steps.append(
+            tuple.__new__(GreedyStep, (len(steps) + 1, tup, mass, frozenset(saturated)))
+        )
 
 
 def _solve(

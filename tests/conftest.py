@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from minent import EPS_ZERO
+from minent import EPS_SUM, EPS_ZERO
 
 
 def dirichlet_marginals(rng: np.random.Generator, m: int, n: int) -> list[list[float]]:
@@ -86,6 +86,17 @@ def residual_families(draw, min_m=2, max_m=4, min_n=2, max_n=6):
         scale = total / sum(raw)
         rows.append([v * scale for v in raw])
     return rows
+
+
+@st.composite
+def perturbed_families(draw, min_m=2, max_m=4, min_n=1, max_n=8):
+    """Random or tied-and-tiny families, each marginal scaled by 1 + d for
+    some |d| < EPS_SUM, so every marginal on its own is valid."""
+    sizes = dict(min_m=min_m, max_m=max_m, min_n=min_n, max_n=max_n)
+    family = draw(st.one_of(marginal_families(**sizes), tied_and_tiny_families(**sizes)))
+    shift = st.one_of(st.just(0.0), st.floats(-0.9 * EPS_SUM, 0.9 * EPS_SUM))
+    shifts = [draw(shift) for _ in family]
+    return [[v * (1.0 + d) for v in row] for row, d in zip(family, shifts)]
 
 
 @pytest.fixture

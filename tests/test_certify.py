@@ -19,7 +19,8 @@ from minent import (
     greedy_coupling_two_phase,
 )
 
-from conftest import marginal_families, tied_and_tiny_families
+import reference_certify
+from conftest import marginal_families, perturbed_families, tied_and_tiny_families
 from reference_certify import CertificateSystem, build_system, check_last_one_property
 
 SOLVERS = [greedy_coupling, greedy_coupling_two_phase]
@@ -257,6 +258,103 @@ class TestAgainstDenseReference:
             tracemalloc.stop()
         # the dense (steps, n*m) system alone would take ~128 MB here
         assert peak < 10 * 2**20
+
+
+def certify_outcome(certify, coupling, trace):
+    """A certificate's fields bit for bit, or what certifying raised.
+
+    ``float.hex`` keeps ``-0.0`` apart from ``0.0``, which ``==`` does not.
+    """
+    try:
+        cert = certify(coupling, trace)
+    except Exception as exc:  # the type, message and fields are compared
+        return type(exc), str(exc), vars(exc)
+    return (
+        [[v.hex() for v in vec] for vec in cert.u],
+        cert.residual_norm.hex(),
+        cert.max_reconstruction_error.hex(),
+        {tup: mass.hex() for tup, mass in cert.witnesses.items()},
+    )
+
+
+def _trace_of(entries):
+    return GreedyTrace(
+        tuple(step(k + 1, tup, mass) for k, (tup, mass) in enumerate(entries.items()))
+    )
+
+
+def _doctored_mass():
+    coupling, trace = greedy_coupling([[0.6, 0.4], [0.5, 0.5]])
+    steps = list(trace.steps)
+    steps[1] = steps[1]._replace(mass=0.35)
+    return coupling, GreedyTrace(tuple(steps))
+
+
+def _doctored_no_owned_slot():
+    # all four cells occupied: every row's slots are used again later
+    entries = {(1, 1): 0.25, (2, 2): 0.25, (1, 2): 0.25, (2, 1): 0.25}
+    return SparseCoupling(2, (2, 2), entries), _trace_of(entries)
+
+
+def _doctored_no_positive_step():
+    coupling, trace = greedy_coupling([[0.6, 0.4], [0.5, 0.5]])
+    return coupling, GreedyTrace(tuple(s._replace(mass=0.0) for s in trace.steps))
+
+
+def _doctored_reconstruction():
+    # matches within 1e-12, but the tiny cell rebuilds 30% off its mass
+    entries = {(1, 1): 0.5, (2, 2): 0.5 - 3e-12, (2, 1): 3e-12}
+    traced = dict(entries)
+    traced[(2, 1)] = 3.9e-12
+    return SparseCoupling(2, (2, 2), entries), _trace_of(traced)
+
+
+class TestAgainstGeneratorReference:
+    """The plain-loop back-substitution against the generator form it replaced."""
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    @given(
+        family=st.one_of(
+            marginal_families(),
+            tied_and_tiny_families(),
+            perturbed_families(),
+            marginal_families(max_m=10, min_n=9, max_n=40),
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_same_certificate_bits(self, solver, family):
+        try:
+            coupling, trace = solver(family)
+        except DomainError:
+            return  # totals too far apart: rejected before any trace exists
+        fast = certify_outcome(certify_local_optimum, coupling, trace)
+        assert fast == certify_outcome(reference_certify.certify_local_optimum, coupling, trace)
+
+    @pytest.mark.parametrize(
+        "doctor",
+        [_doctored_mass, _doctored_no_owned_slot, _doctored_no_positive_step, _doctored_reconstruction],
+    )
+    def test_same_error_on_doctored_traces(self, doctor):
+        coupling, trace = doctor()
+        fast = certify_outcome(certify_local_optimum, coupling, trace)
+        assert fast[0] is CertificationError
+        assert fast == certify_outcome(reference_certify.certify_local_optimum, coupling, trace)
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    @given(
+        family=marginal_families(),
+        victim=st.integers(min_value=0),
+        factor=st.sampled_from([0.5, 1.0 - 1e-6, 1.0 + 1e-11, 2.0]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_same_outcome_with_one_mass_changed(self, solver, family, victim, factor):
+        coupling, trace = solver(family)
+        steps = list(trace.steps)
+        k = victim % len(steps)
+        steps[k] = steps[k]._replace(mass=steps[k].mass * factor)
+        doctored = GreedyTrace(tuple(steps), trace.phase_boundary)
+        fast = certify_outcome(certify_local_optimum, coupling, doctored)
+        assert fast == certify_outcome(reference_certify.certify_local_optimum, coupling, doctored)
 
 
 def _northwest_corner(p, q, rows, cols):

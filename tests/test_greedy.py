@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -12,20 +13,21 @@ from hypothesis import strategies as st
 import reference_greedy
 from minent import (
     EPS_MARG,
-    EPS_SUM,
     EPS_ZERO,
     DimensionError,
     DomainError,
+    GreedyStep,
     Marginal,
     bound_report,
     extended_entropy,
     greedy_coupling,
     greedy_coupling_two_phase,
     marginalize,
+    special_family,
 )
 from minent.cli import main
 
-from conftest import marginal_families, tied_and_tiny_families
+from conftest import marginal_families, perturbed_families, tied_and_tiny_families
 
 SOLVERS = [greedy_coupling, greedy_coupling_two_phase]
 # each fast solver beside the argmax loop it replaced
@@ -33,21 +35,6 @@ REFERENCE_PAIRS = [
     (greedy_coupling, reference_greedy.greedy_coupling),
     (greedy_coupling_two_phase, reference_greedy.greedy_coupling_two_phase),
 ]
-
-
-@st.composite
-def perturbed_families(draw):
-    """Random or tied-and-tiny families, n in 1..8, each marginal scaled by
-    1 + d for some |d| < EPS_SUM, so every marginal on its own is valid."""
-    family = draw(
-        st.one_of(
-            marginal_families(min_n=1, max_n=8),
-            tied_and_tiny_families(min_n=1, max_n=8),
-        )
-    )
-    shift = st.one_of(st.just(0.0), st.floats(-0.9 * EPS_SUM, 0.9 * EPS_SUM))
-    shifts = [draw(shift) for _ in family]
-    return [[v * (1.0 + d) for v in row] for row, d in zip(family, shifts)]
 
 
 def solver_outcome(solver, family):
@@ -246,6 +233,23 @@ class TestAgainstReference:
         # any raised exception type all match the loop the solvers replaced
         assert solver_outcome(fast, family) == solver_outcome(reference, family)
 
+    @pytest.mark.parametrize("fast, reference", REFERENCE_PAIRS)
+    @given(family=perturbed_families(max_m=10, min_n=9, max_n=64))
+    @settings(max_examples=40, deadline=None)
+    def test_same_trace_at_larger_sizes(self, fast, reference, family):
+        # heaps of up to 64 states and up to 10 marginals, as the solvers
+        # meet them on large inputs
+        assert solver_outcome(fast, family) == solver_outcome(reference, family)
+
+    @pytest.mark.parametrize("fast, reference", REFERENCE_PAIRS)
+    @pytest.mark.parametrize("n", [8, 64, 512])
+    def test_same_trace_on_special_family(self, fast, reference, n):
+        # every state of each marginal ties with its half, so each step's
+        # picks rest on the lowest-state tie rule
+        uniform, skewed, _, _ = special_family(n, 1.5)
+        family = [uniform, skewed]
+        assert solver_outcome(fast, family) == solver_outcome(reference, family)
+
     @given(family=marginal_families(min_n=1, max_n=8))
     @settings(max_examples=150, deadline=None)
     def test_sweep_masses_are_pointwise_min(self, family):
@@ -254,6 +258,49 @@ class TestAgainstReference:
         _, trace = greedy_coupling_two_phase(family)
         sweep = [s.mass for s in trace.steps[: trace.phase_boundary - 1]]
         assert sweep == list(bound_report(family).pointwise_min.masses)
+
+
+class TestGreedyStepContract:
+    STEP = GreedyStep(1, (1, 2), 0.5, frozenset({(1, 2)}))
+
+    def test_fields_in_order(self):
+        fields = ["iteration", "chosen_tuple", "mass", "saturated_axes"]
+        assert list(inspect.signature(GreedyStep).parameters) == fields
+        assert list(GreedyStep._fields) == fields
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    @given(family=st.one_of(marginal_families(), tied_and_tiny_families()))
+    @settings(max_examples=60, deadline=None)
+    def test_solver_steps_hold_exact_types(self, solver, family):
+        _, trace = solver(family)
+        for step in trace.steps:
+            assert type(step) is GreedyStep
+            assert type(step.iteration) is int
+            assert type(step.chosen_tuple) is tuple
+            assert all(type(state) is int for state in step.chosen_tuple)
+            assert type(step.mass) is float
+            assert type(step.saturated_axes) is frozenset
+            for pair in step.saturated_axes:
+                assert type(pair) is tuple and len(pair) == 2
+                assert all(type(v) is int for v in pair)
+
+    @pytest.mark.parametrize("name", ["iteration", "chosen_tuple", "mass", "saturated_axes"])
+    def test_fields_cannot_be_assigned(self, name):
+        with pytest.raises(AttributeError):
+            setattr(self.STEP, name, None)
+
+    def test_keyword_construction(self):
+        step = GreedyStep(
+            iteration=1, chosen_tuple=(1, 2), mass=0.5, saturated_axes=frozenset({(1, 2)})
+        )
+        assert step == self.STEP
+        assert (step.iteration, step.chosen_tuple, step.mass) == (1, (1, 2), 0.5)
+
+    def test_repr(self):
+        assert repr(self.STEP) == (
+            "GreedyStep(iteration=1, chosen_tuple=(1, 2), mass=0.5, "
+            "saturated_axes=frozenset({(1, 2)}))"
+        )
 
 
 def cli_exit_code(argv):
