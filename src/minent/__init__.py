@@ -5,9 +5,10 @@ local-optimality certificates for their outputs, additive approximation
 bound reports, an exact branch-and-bound oracle for small two-marginal
 instances, and an entropic causal direction test built on the solvers.
 
-Only the causal direction test needs numpy. Its five names are imported
-on first access, so ``import minent`` and the ``couple``, ``certify`` and
-``bound`` commands start without numpy.
+The causal direction test's five names are imported on first access, so
+``import minent`` and the ``couple``, ``certify`` and ``bound`` commands
+do not compile ``causality.py`` when no bytecode is cached. None of the
+library needs numpy.
 """
 
 from .bounds import (

@@ -285,7 +285,7 @@ def _load_samples(text: str) -> list[tuple[int, int]]:
 
 
 def cmd_infer(args: argparse.Namespace) -> int:
-    # causality needs numpy; the other commands start without it
+    # imported here so the other commands do not compile causality.py
     from .causality import JointObservation, infer_direction
 
     text = _read_text(args.input)

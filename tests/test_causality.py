@@ -1,8 +1,11 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minent import (
     DimensionError,
@@ -14,8 +17,10 @@ from minent import (
     extended_entropy,
     infer_direction,
 )
+from minent import causality
 from minent.greedy import SOLVERS
 
+import reference_causality
 from conftest import probability_vectors
 
 
@@ -45,8 +50,10 @@ class TestJointObservation:
         assert obs.row_labels == (1, 2)
 
     def test_rejects_negative(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^negative probability -0\.1 in joint$"):
             JointObservation.from_matrix([[0.6, -0.1], [0.3, 0.2]])
+        with pytest.raises(DomainError, match=r"^negative probability -0\.1 in joint$"):
+            JointObservation.from_matrix(np.array([[0.6, -0.1], [0.3, 0.2]]))
 
     def test_rejects_bad_total(self):
         with pytest.raises(DomainError):
@@ -68,13 +75,58 @@ class TestJointObservation:
     def test_from_samples(self):
         pairs = [(1, 1), (1, 1), (2, 2), (1, 2)]
         obs = JointObservation.from_samples(pairs)
-        assert obs.joint == pytest.approx(
-            np.array([[0.5, 0.25], [0.0, 0.25]])
-        )
+        expected = [[0.5, 0.25], [0.0, 0.25]]
+        assert len(obs.joint) == len(expected)
+        for row, want in zip(obs.joint, expected):
+            assert row == pytest.approx(want)
 
     def test_from_samples_empty(self):
         with pytest.raises(DomainError):
             JointObservation.from_samples([])
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[0.3, 0.1], [0.2, 0.4]],
+            ((0.3, 0.1), (0.2, 0.4)),
+            np.array([[0.3, 0.1], [0.2, 0.4]]),
+            [np.array([0.3, 0.1]), [0.2, 0.4]],
+            [[1, 0], [0, 0]],
+        ],
+        ids=["lists", "tuples", "array", "mixed", "ints"],
+    )
+    @pytest.mark.filterwarnings("ignore:pruned states")
+    def test_joint_is_a_tuple_of_float_rows(self, matrix):
+        obs = JointObservation.from_matrix(matrix)
+        assert type(obs.joint) is tuple
+        assert all(type(row) is tuple for row in obs.joint)
+        assert all(type(v) is float for row in obs.joint for v in row)
+        assert obs.joint == tuple(
+            tuple(float(v) for v in row) for row in np.asarray(matrix)[:obs.n_x, :obs.n_y]
+        )
+
+    @pytest.mark.parametrize(
+        "matrix, lengths",
+        [
+            ([[0.5, 0.25], [0.25]], [2, 1]),
+            ([[0.5], [0.25, 0.25]], [1, 2]),
+            ([[], [1.0]], [0, 1]),
+            ([[0.25, 0.25], [0.25, 0.25], [0.1, 0.1, 0.1]], [2, 2, 3]),
+        ],
+    )
+    def test_rejects_ragged_rows_naming_their_lengths(self, matrix, lengths):
+        with pytest.raises(DimensionError, match=f"^joint row lengths differ: {re.escape(str(lengths))}$"):
+            JointObservation.from_matrix(matrix)
+
+    @pytest.mark.parametrize("matrix", [[], [0.5, 0.5], 1.0, [[[0.5], [0.5]]], np.ones((1, 2, 1)) / 2])
+    def test_rejects_other_than_two_dimensions(self, matrix):
+        with pytest.raises(DimensionError, match="^joint observation must be a 2-D matrix$"):
+            JointObservation.from_matrix(matrix)
+
+    @pytest.mark.parametrize("matrix", [[[]], [[], []]])
+    def test_rejects_empty(self, matrix):
+        with pytest.raises(DomainError, match="^joint observation is empty$"):
+            JointObservation.from_matrix(matrix)
 
 
 class TestConditionals:
@@ -176,6 +228,30 @@ class TestInferDirection:
         assert report.verdict == "undecided"
         assert "margin" in report.diagnostic
 
+    @pytest.mark.parametrize(
+        "build, shape",
+        [
+            (lambda: JointObservation.from_matrix([[0.5, 0.5]]), "1x2"),
+            (lambda: JointObservation.from_matrix([[0.5], [0.25], [0.25]]), "3x1"),
+            (lambda: JointObservation.from_matrix([[0.5, 0.0], [0.5, 0.0]]), "2x1"),
+            (lambda: JointObservation.from_matrix([[0.0, 0.0], [0.0, 1.0]]), "1x1"),
+            (lambda: JointObservation.from_samples([(3, 1), (3, 2), (3, 1)]), "1x2"),
+            (lambda: JointObservation.from_samples([(1, 5), (2, 5)]), "2x1"),
+        ],
+        ids=["one-row", "one-column", "pruned-to-one-column", "pruned-to-one-cell",
+             "samples-one-x", "samples-one-y"],
+    )
+    @pytest.mark.filterwarnings("ignore:pruned states")
+    def test_one_observed_state_rejected_naming_the_shape(self, build, shape):
+        obs = build()
+        message = (
+            f"^joint observation is {shape} after pruning; a causal direction "
+            "needs at least two observed states of X and of Y$"
+        )
+        for solver in SOLVERS:
+            with pytest.raises(DomainError, match=message):
+                infer_direction(obs, solver=solver)
+
     def test_negative_margin_rejected(self):
         obs = JointObservation.from_matrix([[0.5, 0.0], [0.0, 0.5]])
         with pytest.raises(DomainError):
@@ -200,8 +276,8 @@ class TestInferDirection:
             joint = synthetic_joint(rng)
             obs = JointObservation.from_matrix(joint)
             report = infer_direction(obs)
-            p_x = obs.joint.sum(axis=1)
-            p_y = obs.joint.sum(axis=0)
+            p_x = [sum(row) for row in obs.joint]
+            p_y = [sum(column) for column in zip(*obs.joint)]
             assert report.h_x == pytest.approx(extended_entropy(p_x), abs=1e-12)
             assert report.h_y == pytest.approx(extended_entropy(p_y), abs=1e-12)
             estimate = exogenous_entropy_estimate(
@@ -276,3 +352,179 @@ class TestInferDirection:
             elif verdict == "YtoX":
                 losses += 1
         assert wins > losses
+
+
+# States per axis around numpy's pairwise-sum thresholds: in-order below
+# 8 terms, eight accumulators up to 128, split above.
+AXIS_SIZES = [1, 2, 3, 7, 8, 9, 16, 129, 131]
+SMALL_AXIS_SIZES = [1, 2, 3, 7, 8, 9]
+
+
+@st.composite
+def joint_matrices(draw):
+    """A joint as a numpy array: planted, random, dyadic, independent or
+    nearly independent.
+
+    Random and dyadic joints may carry all-zero rows and columns; dyadic
+    ones have many exactly equal cells and sum to exactly 1. At most one
+    axis has more than 16 states, which keeps the solvers quick.
+    """
+    kind = draw(st.sampled_from(["planted", "random", "dyadic", "independent", "near-independent"]))
+    n_x = draw(st.sampled_from(AXIS_SIZES))
+    n_y = draw(st.sampled_from(AXIS_SIZES if n_x <= 16 else SMALL_AXIS_SIZES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "planted":
+        p_x = rng.dirichlet(np.ones(n_x))
+        p_e = rng.dirichlet(np.ones(draw(st.integers(1, 3))))
+        joint = np.zeros((n_x, n_y))
+        for x, mass in enumerate(p_x):
+            for e, weight in enumerate(p_e):
+                joint[x, rng.integers(n_y)] += mass * weight
+        return joint
+    if kind == "independent":
+        return np.outer(rng.dirichlet(np.ones(n_x)), rng.dirichlet(np.ones(n_y)))
+    if kind == "near-independent":
+        # tiny cells and nudges around the diagnostic's atol of 1e-12
+        p_y = rng.dirichlet(np.ones(n_y))
+        p_y[-1] *= 10.0 ** -draw(st.integers(0, 12))
+        joint = np.outer(rng.dirichlet(np.ones(n_x)), p_y / p_y.sum())
+        nudge = draw(st.sampled_from([1e-13, 9e-13, 2e-12, 1e-11, 1e-6]))
+        joint = np.maximum(joint + nudge * rng.choice([-1.0, 0.0, 1.0], size=joint.shape), 0.0)
+        return joint / joint.sum()
+    if kind == "random":
+        joint = rng.random((n_x, n_y))
+    else:
+        joint = rng.choice([0.0, 1.0, 1.0, 2.0, 4.0], size=(n_x, n_y))
+    joint[rng.random((n_x, n_y)) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    if draw(st.booleans()):
+        joint[rng.integers(n_x), :] = 0.0
+    if draw(st.booleans()):
+        joint[:, rng.integers(n_y)] = 0.0
+    if joint.sum() == 0.0:
+        joint[0, 0] = 1.0
+    if kind == "dyadic":
+        total = int(joint.sum())
+        joint[np.unravel_index(np.argmax(joint), joint.shape)] += (1 << (total - 1).bit_length()) - total
+    return joint / joint.sum()
+
+
+SAMPLE_PAIRS = st.lists(
+    st.tuples(st.integers(-2, 9), st.integers(-2, 9)), min_size=1, max_size=60
+)
+
+
+def report_outcome(module, build, margin=0.0, solver="alg2"):
+    """Everything observable about one construction and inference.
+
+    Floats are compared by ``float.hex``; an exception becomes its type
+    name and message. Warnings raised on the way are recorded too.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            obs = build(module)
+            given = [
+                [[v.hex() for v in c.probs] for c in module.conditionals_from_joint(obs, axis)]
+                for axis in (1, 2)
+            ]
+            report = module.infer_direction(obs, margin=margin, solver=solver)
+        except (ValueError, TypeError) as exc:
+            result = ("raised", type(exc).__name__, str(exc))
+        else:
+            rows = obs.joint.tolist() if hasattr(obs.joint, "tolist") else obs.joint
+            fields = ("h_x", "h_y", "exo_x_to_y", "exo_y_to_x", "score_x_to_y", "score_y_to_x", "margin")
+            result = (
+                [getattr(report, name).hex() for name in fields],
+                report.verdict,
+                report.diagnostic,
+                obs.row_labels,
+                obs.col_labels,
+                [[v.hex() for v in row] for row in rows],
+                given,
+            )
+    return result, [str(w.message) for w in caught]
+
+
+ONE_STATE = re.compile(r"^joint observation is (\d+)x(\d+) after pruning; ")
+NEGATIVE = re.compile(r"^negative probability (\S+) in joint$")
+
+
+def as_reference_words(outcome):
+    """The outcome in the reference's words: the library rewords three
+    errors (one observed state, ragged rows, the negative value)."""
+    result, caught = outcome
+    if result[0] != "raised":
+        return outcome
+    _, kind, message = result
+    if ONE_STATE.match(message):
+        return ("raised", "DomainError", "need at least two marginals to couple"), caught
+    if message.startswith("joint row lengths differ: "):
+        return ("raised", "ValueError", "inhomogeneous"), caught
+    negative = NEGATIVE.match(message)
+    if negative:
+        return ("raised", kind, f"negative probability np.float64({negative[1]}) in joint"), caught
+    return outcome
+
+
+def with_ragged_words(outcome):
+    """numpy's long message for a ragged matrix, cut to its key word."""
+    result, caught = outcome
+    if result[0] == "raised" and "inhomogeneous" in result[2]:
+        return ("raised", result[1], "inhomogeneous"), caught
+    return outcome
+
+
+class TestAgainstReference:
+    """Same reports, joints, labels, warnings and errors as the numpy form."""
+
+    def assert_same(self, build, margin=0.0, solver="alg2"):
+        fast = report_outcome(causality, build, margin, solver)
+        reference = report_outcome(reference_causality, build, margin, solver)
+        assert as_reference_words(fast) == with_ragged_words(reference)
+        return fast
+
+    @given(matrix=joint_matrices(), solver=st.sampled_from(["alg1", "alg2"]),
+           margin=st.sampled_from([0.0, 1e-9, 0.05]))
+    @settings(max_examples=200, deadline=None)
+    def test_same_on_joint_matrices(self, matrix, solver, margin):
+        rows = matrix.tolist()
+        fast = self.assert_same(lambda m: m.JointObservation.from_matrix(rows), margin, solver)
+        from_array = report_outcome(causality, lambda m: m.JointObservation.from_matrix(matrix), margin, solver)
+        assert from_array == fast
+
+    @given(pairs=SAMPLE_PAIRS, solver=st.sampled_from(["alg1", "alg2"]))
+    @settings(max_examples=150, deadline=None)
+    def test_same_on_samples(self, pairs, solver):
+        self.assert_same(lambda m: m.JointObservation.from_samples(pairs), solver=solver)
+
+    @given(
+        matrix=joint_matrices(),
+        defect=st.sampled_from(["negative", "ragged", "nan", "total", "empty-row", "flat"]),
+        where=st.integers(0, 2**16),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_same_errors_on_defective_matrices(self, matrix, defect, where):
+        rows = matrix.tolist()
+        i = where % len(rows)
+        j = where % len(rows[0])
+        if defect == "negative":
+            rows[i][j] = -rows[i][j] - 0.1
+        elif defect == "ragged":
+            rows[i] = rows[i] + [0.0]
+        elif defect == "nan":
+            rows[i][j] = math.nan
+        elif defect == "total":
+            rows = [[2.0 * v for v in row] for row in rows]
+        elif defect == "empty-row":
+            rows = [[] for _ in rows]
+        else:
+            rows = rows[i]
+        self.assert_same(lambda m: m.JointObservation.from_matrix(rows))
+
+    @pytest.mark.filterwarnings("ignore:pruned states")
+    def test_same_on_planted_models(self, rng):
+        for n_x in (2, 3, 4, 8, 9):
+            for _ in range(20):
+                joint = synthetic_joint(rng, n_x=n_x, n_e=3)
+                rows = joint.tolist()
+                self.assert_same(lambda m: m.JointObservation.from_matrix(rows))

@@ -237,6 +237,44 @@ class TestInfer:
         code, _, _ = run_cli(capsys, "infer", path)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "text, argv, shape",
+        [
+            ("0.5,0.5\n", [], "1x2"),
+            ("0.5\n0.25\n0.25\n", [], "3x1"),
+            ("0.5,0,0\n0.5,0,0\n", [], "2x1"),
+            ("1,1\n1,2\n1,1\n", ["--samples"], "1x2"),
+        ],
+        ids=["one-row", "one-column", "pruned-to-one-column", "samples-one-x"],
+    )
+    @pytest.mark.filterwarnings("ignore:pruned states")
+    def test_one_observed_state_exit_2(self, tmp_path, capsys, text, argv, shape):
+        # these used to exit 2 with the solver's "need at least two marginals"
+        path = write(tmp_path, "joint.csv", text)
+        code, out, err = run_cli(capsys, "infer", path, *argv)
+        assert (code, out) == (2, "")
+        assert err.endswith(
+            f"error: joint observation is {shape} after pruning; a causal direction "
+            "needs at least two observed states of X and of Y\n"
+        )
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("joint.csv", "0.5,0.25\n0.25\n"),
+            ("joint.json", '{"joint": [[0.5, 0.25], [0.25]]}'),
+        ],
+    )
+    def test_ragged_joint_exit_2_naming_row_lengths(self, tmp_path, capsys, name, text):
+        path = write(tmp_path, name, text)
+        code, out, err = run_cli(capsys, "infer", path)
+        assert (code, out, err) == (2, "", "error: joint row lengths differ: [2, 1]\n")
+
+    def test_negative_entry_exit_2_naming_the_value(self, tmp_path, capsys):
+        path = write(tmp_path, "joint.csv", "0.6,-0.1\n0.3,0.2\n")
+        code, out, err = run_cli(capsys, "infer", path)
+        assert (code, out, err) == (2, "", "error: negative probability -0.1 in joint\n")
+
     def test_margin_flag(self, tmp_path, capsys):
         path = write(tmp_path, "joint.csv", "0.3,0.1\n0.2,0.4\n")
         code, out, _ = run_cli(capsys, "infer", path, "--margin", "1.0")

@@ -1,7 +1,10 @@
-"""numpy stays off the import path of ``couple``, ``certify`` and ``bound``.
+"""numpy stays off the import path of every command but ``generate``.
 
-Importing numpy costs more than most of these commands' work, so only the
-causal direction test (``minent.causality``) and ``generate`` load it.
+Importing numpy costs more than most of these commands' work, so only
+``generate --family random`` loads it (for ``default_rng``). The causal
+direction test (``minent.causality``) is pure Python, and ``import
+minent`` resolves its names on first access, so ``couple``, ``certify``
+and ``bound`` do not compile it.
 """
 
 import os
@@ -39,6 +42,22 @@ def test_cli_import_leaves_numpy_out():
         "import minent, minent.cli, sys; assert 'numpy' not in sys.modules"
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_infer_leaves_numpy_out(tmp_path):
+    matrix = tmp_path / "joint.csv"
+    matrix.write_text("0.3,0.1\n0.2,0.4\n", encoding="utf-8")
+    samples = tmp_path / "samples.csv"
+    samples.write_text("1,1\n1,2\n2,2\n2,2\n", encoding="utf-8")
+    done = run_python(
+        "import sys, minent.causality\n"
+        "from minent import cli\n"
+        f"assert cli.main(['infer', {str(matrix)!r}]) == 0\n"
+        f"assert cli.main(['infer', {str(samples)!r}, '--samples']) == 0\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.count('"verdict"') == 2
 
 
 def test_causality_names_load_on_first_access():
