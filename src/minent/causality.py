@@ -28,7 +28,6 @@ Python 3.12 on.
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -122,8 +121,9 @@ class JointObservation:
 
     Rows index the states of X, columns the states of Y; ``joint`` is a
     tuple of row tuples. States that were never observed (all-zero rows
-    or columns) are pruned on construction with a warning; ``row_labels``
-    / ``col_labels`` record which original states survived.
+    or columns) are pruned on construction, and ``row_labels`` /
+    ``col_labels`` are the record of it: the 1-based indices of the
+    matrix's surviving rows and columns, or the observed sample values.
     """
 
     joint: Matrix
@@ -167,16 +167,8 @@ class JointObservation:
         keep_cols = [j for j, s in enumerate(_column_sums(rows)) if s > EPS_ZERO]
         if not keep_rows or not keep_cols:
             raise DomainError("joint observation carries no mass")
-        if len(keep_rows) < len(rows) or len(keep_cols) < len(rows[0]):
-            warnings.warn(
-                "pruned states with zero observed mass from the joint",
-                stacklevel=3,
-            )
-            joint = tuple(tuple(rows[i][j] for j in keep_cols) for i in keep_rows)
-        else:
-            joint = tuple(map(tuple, rows))
         return cls(
-            joint,
+            tuple(tuple(rows[i][j] for j in keep_cols) for i in keep_rows),
             tuple(i + 1 for i in keep_rows),
             tuple(j + 1 for j in keep_cols),
         )

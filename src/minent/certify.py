@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 from .core import DimensionError, DomainError, SparseCoupling
 from .greedy import GreedyStep, GreedyTrace
@@ -79,15 +78,14 @@ class Certificate:
     """Witness vectors proving a coupling's masses factor per axis.
 
     ``u`` holds one witness vector per axis, as back-substitution left it:
-    witnesses that no step owns are 0. ``witnesses`` maps every stored
-    cell to its reconstructed mass ``2 ** (-1 + sum of u at the cell's
-    states)``. Construction enforces that both the system residual
-    and the worst reconstruction error are within ``EPS_CERT``.
+    witnesses that no step owns are 0. A stored cell's mass is
+    ``2 ** (-1 + sum of u at the cell's states)``. Construction enforces
+    that both the system residual and the worst reconstruction error of
+    those masses are within ``EPS_CERT``.
     """
 
     u: tuple[tuple[float, ...], ...]
     residual_norm: float
-    witnesses: Mapping[tuple[int, ...], float]
     max_reconstruction_error: float
 
     def __post_init__(self) -> None:
@@ -99,7 +97,6 @@ class Certificate:
             raise DomainError(
                 f"reconstruction error {self.max_reconstruction_error!r} exceeds {EPS_CERT}"
             )
-        object.__setattr__(self, "witnesses", dict(self.witnesses))
 
     def to_dict(self) -> dict:
         return {
@@ -186,16 +183,12 @@ def certify_local_optimum(
             f"witness system residual {residual:.3e} exceeds {EPS_CERT}",
             residual_norm=residual,
         )
-    witnesses: dict[tuple[int, ...], float] = {}
     worst = 0.0
     worst_relative = 0.0
     entries = coupling.entries
     for step, total in zip(positive, sums):
-        tup = step.chosen_tuple
-        mass = entries[tup]
-        rebuilt = 2.0 ** (total - 1.0)
-        witnesses[tup] = rebuilt
-        error = abs(rebuilt - mass)
+        mass = entries[step.chosen_tuple]
+        error = abs(2.0 ** (total - 1.0) - mass)
         relative = error / mass
         if error > worst:
             worst = error
@@ -207,4 +200,4 @@ def certify_local_optimum(
             residual_norm=residual,
             max_reconstruction_error=worst,
         )
-    return Certificate(tuple(map(tuple, u)), residual, witnesses, worst)
+    return Certificate(tuple(map(tuple, u)), residual, worst)

@@ -107,12 +107,15 @@ def _require_shape(value, shape, where: str) -> None:
     """Raise DomainError naming ``where`` unless a JSON value has ``shape``.
 
     ``float`` stands for a number, ``int`` for a number with no fractional
-    part, ``[s]`` for a list of ``s`` and ``{field: s}`` for an object
-    whose fields, where present, have ``s``.
+    part, ``[s]`` for a list of ``s``, ``[s, s]`` for a pair of ``s``
+    and ``{field: s}`` for an object whose fields have ``s``; a field
+    named with a trailing ``?`` may be absent.
     """
     if isinstance(shape, list):
         if not isinstance(value, list):
             raise DomainError(f"{where} is not a list")
+        if len(shape) == 2 and len(value) != 2:
+            raise DomainError(f"{where} is not a pair")
         if shape[0] is float and all(map(_is_number, value)):
             return
         if shape[0] is int and all(map(_is_integral, value)):
@@ -123,8 +126,11 @@ def _require_shape(value, shape, where: str) -> None:
         if not isinstance(value, dict):
             raise DomainError(f"{where} is not an object")
         for field, inner in shape.items():
-            if field in value:
-                _require_shape(value[field], inner, f"{where} field {field!r}")
+            name = field.rstrip("?")
+            if name in value:
+                _require_shape(value[name], inner, f"{where} field {name!r}")
+            elif name == field:
+                raise DomainError(f"{where} lacks a {name!r} field")
     elif not _is_number(value):
         raise DomainError(f"{where} is not a number")
     elif shape is int and not _is_integral(value):
@@ -147,7 +153,7 @@ def _parse_rows(text: str, key: str) -> list[list[float]]:
         ]
     if not rows:
         raise DomainError("problem file contains no rows")
-    return [[float(v) for v in row] for row in rows]
+    return rows
 
 
 def _load_marginals(path: str) -> tuple[Marginal, ...]:
@@ -191,7 +197,7 @@ def cmd_couple(args: argparse.Namespace) -> int:
 
 # The layout ``couple --trace`` writes, as ``_require_shape`` reads it.
 _RUN_ENTRIES = [{"indices": [int], "mass": float}]
-_RUN_TRACE = [{"iteration": int, "indices": [int], "mass": float, "saturated": [[int]]}]
+_RUN_TRACE = [{"iteration": int, "indices": [int], "mass": float, "saturated?": [[int, int]]}]
 
 
 def _load_run_file(path: str, marginals: tuple[Marginal, ...]):
@@ -218,9 +224,17 @@ def _load_run_file(path: str, marginals: tuple[Marginal, ...]):
         )
         for item in doc["trace"]
     )
+    entries = {}
+    for k, (tup, mass) in enumerate(order, start=1):
+        if tup in entries:
+            raise DomainError(f"run file 'entries' item {k} repeats the cell {list(tup)}")
+        entries[tup] = mass
     boundary = doc.get("phase_boundary")
+    if boundary is not None:
+        _require_shape(boundary, int, "run file 'phase_boundary'")
+        boundary = int(boundary)
     try:
-        coupling = SparseCoupling(m, (n,) * m, dict(order), order)
+        coupling = SparseCoupling(m, (n,) * m, entries, order)
     except (DomainError, DimensionError) as exc:
         raise CertificationError(f"run file does not encode a coupling: {exc}")
     return coupling, GreedyTrace(steps, boundary)
@@ -292,7 +306,16 @@ def cmd_infer(args: argparse.Namespace) -> int:
     if args.samples:
         obs = JointObservation.from_samples(_load_samples(text))
     else:
-        obs = JointObservation.from_matrix(_parse_rows(text, "joint"))
+        rows = _parse_rows(text, "joint")
+        obs = JointObservation.from_matrix(rows)
+        pruned_x = [i for i in range(1, len(rows) + 1) if i not in obs.row_labels]
+        pruned_y = [j for j in range(1, len(rows[0]) + 1) if j not in obs.col_labels]
+        if pruned_x or pruned_y:
+            print(
+                f"warning: pruned states with zero observed mass: X {pruned_x}, "
+                f"Y {pruned_y}; kept X {list(obs.row_labels)}, Y {list(obs.col_labels)}",
+                file=sys.stderr,
+            )
     report = infer_direction(obs, margin=args.margin, solver=args.solver)
     _emit(report.to_dict())
     return 0
@@ -341,16 +364,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Minimum entropy coupling toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    algs = [name.removeprefix("alg") for name in SOLVERS]
 
     couple = sub.add_parser("couple", help="run a greedy coupling solver")
     couple.add_argument("input", help="problem file (JSON or CSV), '-' for stdin")
-    couple.add_argument("--alg", choices=["1", "2"], default="1")
+    couple.add_argument("--alg", choices=algs, default="1")
     couple.add_argument("--trace", action="store_true", help="include the full trace")
     couple.set_defaults(func=cmd_couple)
 
     certify = sub.add_parser("certify", help="certify a solver run as a local optimum")
     certify.add_argument("input", help="problem file (JSON or CSV)")
-    certify.add_argument("--alg", choices=["1", "2"], default="1")
+    certify.add_argument("--alg", choices=algs, default="1")
     certify.add_argument(
         "--trace-in",
         help="certify a previously saved 'couple --trace' output instead of re-solving",
@@ -359,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bound = sub.add_parser("bound", help="additive approximation bracket")
     bound.add_argument("input", help="problem file (JSON or CSV)")
-    bound.add_argument("--alg", choices=["1", "2"], default="2")
+    bound.add_argument("--alg", choices=algs, default="2")
     bound.add_argument(
         "--oracle",
         action="store_true",
@@ -408,9 +432,6 @@ def main(argv: list[str] | None = None) -> int:
     except SizeCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (DomainError, DimensionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (OSError, json.JSONDecodeError, csv.Error, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -80,16 +80,15 @@ class Marginal:
 def coerce_marginals(
     marginals: Iterable[Marginal | Iterable[float]],
     too_few: str = "need at least two marginals to couple",
-    min_count: int = 2,
 ) -> tuple[Marginal, ...]:
     """Validate marginals that are to be coupled together.
 
-    Needs at least ``min_count`` marginals of one length whose ``math.fsum``
+    Needs at least two marginals of one length whose ``math.fsum``
     totals lie within ``EPS_MARG / 2`` of each other: a solver stops once
     one marginal is drained and strands the difference in the others.
     """
     ms = tuple(p if isinstance(p, Marginal) else Marginal.of(p) for p in marginals)
-    if len(ms) < min_count:
+    if len(ms) < 2:
         raise DomainError(too_few)
     lengths = [len(p) for p in ms]
     if any(length != lengths[0] for length in lengths):

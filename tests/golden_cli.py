@@ -79,6 +79,7 @@ def build_inputs() -> dict[str, str]:
         "independent.csv": "0.12,0.28\n0.18,0.42\n",
         "samples.csv": "\n".join(["1,1"] * 40 + ["1,2"] * 10 + ["2,2"] * 50) + "\n",
         "bad_joint.csv": "0.5,abc\n0,0.5\n",
+        "pruned.csv": "0.25,0,0.25\n0,0,0\n0.3,0,0.2\n",
         "bad_samples.csv": "1,2,3\n",
     }
 
@@ -127,6 +128,7 @@ CASES: list[tuple[list[str], dict]] = [
     (["infer", "bad_joint.csv"], {}),
     (["infer", "bad_samples.csv", "--samples"], {}),
     (["infer", "joint.csv", "--margin=nan"], {}),
+    (["infer", "pruned.csv"], {}),
     (["generate", "--family", "special", "--n", "4", "--alpha", "1.5"], {}),
     (["generate", "--family", "random", "--n", "3", "--m", "3", "--seed", "7"], {}),
     (["generate", "--family", "special", "--n", "4"], {}),

@@ -11,7 +11,6 @@ import math
 import subprocess
 import sys
 import time
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -223,24 +222,22 @@ def test_criterion_8_direction_recovery_sign_test():
     rng = np.random.default_rng(CORPUS_SEED + 2)
     n_x, n_e = 4, 2
     wins = losses = undecided = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # unobserved effect states get pruned
-        for _ in range(250):
-            p_e = rng.uniform(0.01, 0.1461)  # H(E) <= 0.6 bits
-            dist_e = np.array([1.0 - p_e, p_e])
-            assert extended_entropy(dist_e) <= 0.6
-            mechanism = rng.integers(0, n_x, size=(n_x, n_e))
-            joint = np.zeros((n_x, n_x))
-            for x in range(n_x):
-                for e in range(n_e):
-                    joint[x, mechanism[x, e]] += dist_e[e] / n_x
-            verdict = infer_direction(JointObservation.from_matrix(joint)).verdict
-            if verdict == "XtoY":
-                wins += 1
-            elif verdict == "YtoX":
-                losses += 1
-            else:
-                undecided += 1
+    for _ in range(250):
+        p_e = rng.uniform(0.01, 0.1461)  # H(E) <= 0.6 bits
+        dist_e = np.array([1.0 - p_e, p_e])
+        assert extended_entropy(dist_e) <= 0.6
+        mechanism = rng.integers(0, n_x, size=(n_x, n_e))
+        joint = np.zeros((n_x, n_x))
+        for x in range(n_x):
+            for e in range(n_e):
+                joint[x, mechanism[x, e]] += dist_e[e] / n_x
+        verdict = infer_direction(JointObservation.from_matrix(joint)).verdict
+        if verdict == "XtoY":
+            wins += 1
+        elif verdict == "YtoX":
+            losses += 1
+        else:
+            undecided += 1
     assert wins + losses > 0
     p_value = binomtest(wins, wins + losses, alternative="greater").pvalue
     assert wins > losses

@@ -247,7 +247,6 @@ class TestInfer:
         ],
         ids=["one-row", "one-column", "pruned-to-one-column", "samples-one-x"],
     )
-    @pytest.mark.filterwarnings("ignore:pruned states")
     def test_one_observed_state_exit_2(self, tmp_path, capsys, text, argv, shape):
         # these used to exit 2 with the solver's "need at least two marginals"
         path = write(tmp_path, "joint.csv", text)
@@ -257,6 +256,27 @@ class TestInfer:
             f"error: joint observation is {shape} after pruning; a causal direction "
             "needs at least two observed states of X and of Y\n"
         )
+
+    @pytest.mark.parametrize(
+        "text, kept, line",
+        [
+            ("0.5,0,0.2\n0.3,0,0\n", "0.5,0.2\n0.3,0\n", "X [], Y [2]; kept X [1, 2], Y [1, 3]"),
+            ("0.5,0.2\n0,0\n0.3,0\n", "0.5,0.2\n0.3,0\n", "X [2], Y []; kept X [1, 3], Y [1, 2]"),
+            (
+                "0,0,0\n0.5,0,0.2\n0,0,0\n0.3,0,0\n",
+                "0.5,0.2\n0.3,0\n",
+                "X [1, 3], Y [2]; kept X [2, 4], Y [1, 3]",
+            ),
+        ],
+        ids=["column", "row", "rows-and-column"],
+    )
+    def test_pruned_states_named_on_stderr(self, tmp_path, capsys, text, kept, line):
+        # one line naming the pruned and the kept states, 1-based, in
+        # place of Python's UserWarning with its source line
+        code, out, err = run_cli(capsys, "infer", write(tmp_path, "joint.csv", text))
+        assert err == f"warning: pruned states with zero observed mass: {line}\n"
+        # the report is that of the joint without the pruned states
+        assert (code, out, "") == run_cli(capsys, "infer", write(tmp_path, "kept.csv", kept))
 
     @pytest.mark.parametrize(
         "name, text",
@@ -508,6 +528,89 @@ class TestMalformedShapes:
         run_file = write(tmp_path, "run.json", json.dumps(doc))
         code, out, err = run_cli(capsys, "certify", path, "--trace-in", run_file)
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "doctor, message",
+        [
+            (lambda doc: doc["entries"][0].pop("mass"), "run file 'entries' item 1 lacks a 'mass' field"),
+            (lambda doc: doc["entries"][2].pop("indices"), "run file 'entries' item 3 lacks a 'indices' field"),
+            (lambda doc: doc["trace"][0].pop("indices"), "run file 'trace' item 1 lacks a 'indices' field"),
+            (lambda doc: doc["trace"][1].pop("iteration"), "run file 'trace' item 2 lacks a 'iteration' field"),
+            (lambda doc: doc["trace"][2].pop("mass"), "run file 'trace' item 3 lacks a 'mass' field"),
+            (
+                lambda doc: doc["trace"][0].update(saturated=[[1]]),
+                "run file 'trace' item 1 field 'saturated' item 1 is not a pair",
+            ),
+            (
+                lambda doc: doc["trace"][2].update(saturated=[[1, 1], [2, 2, 2]]),
+                "run file 'trace' item 3 field 'saturated' item 2 is not a pair",
+            ),
+            (
+                lambda doc: doc["trace"][2].update(saturated=[[1, 1], []]),
+                "run file 'trace' item 3 field 'saturated' item 2 is not a pair",
+            ),
+        ],
+        ids=["entry-mass", "entry-indices", "step-indices", "step-iteration", "step-mass",
+             "short-pair", "long-pair", "empty-pair"],
+    )
+    def test_run_file_missing_field_or_malformed_pair_exit_2(self, tmp_path, capsys, doctor, message):
+        # these used to exit 2 with a bare KeyError or an unpacking error
+        path = problem_file(tmp_path, [[0.6, 0.4], [0.5, 0.5]])
+        _, out, _ = run_cli(capsys, "couple", path, "--alg", "2", "--trace")
+        doc = json.loads(out)
+        doctor(doc)
+        run_file = write(tmp_path, "run.json", json.dumps(doc))
+        code, out, err = run_cli(capsys, "certify", path, "--trace-in", run_file)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "doctor, message",
+        [
+            (
+                lambda doc: doc["entries"].append(dict(doc["entries"][0])),
+                "run file 'entries' item 4 repeats the cell [1, 1]",
+            ),
+            (
+                lambda doc: doc["entries"].insert(2, dict(doc["entries"][1])),
+                "run file 'entries' item 3 repeats the cell [2, 2]",
+            ),
+            (lambda doc: doc.update(phase_boundary="x"), "run file 'phase_boundary' is not a number"),
+            (lambda doc: doc.update(phase_boundary=True), "run file 'phase_boundary' is not a number"),
+            (lambda doc: doc.update(phase_boundary=[3]), "run file 'phase_boundary' is not a number"),
+            (lambda doc: doc.update(phase_boundary=2.5), "run file 'phase_boundary' is not an integer"),
+        ],
+        ids=["repeated-last", "repeated-inside", "boundary-string", "boundary-bool",
+             "boundary-list", "boundary-fraction"],
+    )
+    def test_run_file_that_used_to_certify_exit_2(self, tmp_path, capsys, doctor, message):
+        # a repeated cell was merged by dict() and an unchecked boundary
+        # passed through, so each of these certified with exit 0
+        path = problem_file(tmp_path, [[0.6, 0.4], [0.5, 0.5]])
+        _, out, _ = run_cli(capsys, "couple", path, "--alg", "2", "--trace")
+        doc = json.loads(out)
+        doctor(doc)
+        run_file = write(tmp_path, "run.json", json.dumps(doc))
+        code, out, err = run_cli(capsys, "certify", path, "--trace-in", run_file)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "doctor",
+        [
+            lambda doc: [step.pop("saturated") for step in doc["trace"]],
+            lambda doc: doc.update(phase_boundary=None),
+            lambda doc: doc.update(phase_boundary=3.0),
+        ],
+        ids=["no-saturated", "null-boundary", "integral-float-boundary"],
+    )
+    def test_optional_run_file_fields_still_read(self, tmp_path, capsys, doctor):
+        path = problem_file(tmp_path, [[0.6, 0.4], [0.5, 0.5]])
+        _, out, _ = run_cli(capsys, "couple", path, "--alg", "2", "--trace")
+        expected = run_cli(capsys, "certify", path, "--trace-in", write(tmp_path, "run.json", out))
+        doc = json.loads(out)
+        doctor(doc)
+        run_file = write(tmp_path, "doctored.json", json.dumps(doc))
+        assert run_cli(capsys, "certify", path, "--trace-in", run_file) == expected
+        assert expected[0] == 0
 
     def test_shifted_run_file_exit_2(self, tmp_path, capsys):
         # int() used to truncate every shifted index back to the original,

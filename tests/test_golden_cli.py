@@ -3,13 +3,12 @@
 The transcript holds stdout, stderr and the exit code of each invocation,
 byte for byte, as ``golden_cli.py`` recorded them. A failure here is a
 change of CLI behaviour: fix the code, or state the change; never
-regenerate the transcript to make it pass.
+regenerate the transcript to make it pass. The replay itself lives in
+``replay_golden.py``, which also runs as a script without pytest.
 """
 
 import io
-import json
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -17,20 +16,13 @@ from minent import cli
 from minent.cli import _json_text, main
 
 from reference_cli import reference_json_text
-
-GOLDEN = json.loads(
-    Path(__file__).with_name("golden_cli.json").read_text(encoding="utf-8")
-)
+from replay_golden import GOLDEN, expected, replay, write_inputs
 
 
 @pytest.fixture
 def workdir(tmp_path, monkeypatch):
     """A directory holding every input and every saved run file."""
-    for name, text in GOLDEN["inputs"].items():
-        (tmp_path / name).write_text(text, encoding="utf-8")
-    for case in GOLDEN["cases"]:
-        if "save" in case:
-            (tmp_path / case["save"]).write_text(case["stdout"], encoding="utf-8")
+    write_inputs(tmp_path)
     monkeypatch.chdir(tmp_path)
     return tmp_path
 
@@ -38,15 +30,8 @@ def workdir(tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "case", GOLDEN["cases"], ids=[" ".join(case["argv"]) for case in GOLDEN["cases"]]
 )
-def test_replays_byte_for_byte(workdir, capsys, monkeypatch, case):
-    monkeypatch.setattr(sys, "stdin", io.StringIO(case.get("stdin", "")))
-    code = main(list(case["argv"]))
-    captured = capsys.readouterr()
-    assert (code, captured.out, captured.err) == (
-        case["code"],
-        case["stdout"],
-        case["stderr"],
-    )
+def test_replays_byte_for_byte(workdir, case):
+    assert replay(case) == expected(case)
 
 
 @pytest.mark.parametrize(

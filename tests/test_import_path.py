@@ -4,7 +4,9 @@ Importing numpy costs more than most of these commands' work, so only
 ``generate --family random`` loads it (for ``default_rng``). The causal
 direction test (``minent.causality``) is pure Python, and ``import
 minent`` resolves its names on first access, so ``couple``, ``certify``
-and ``bound`` do not compile it.
+and ``bound`` do not compile it. The golden replay script and the
+back-substitution reference of ``certify`` need no numpy either, so
+interpreters without it can run them.
 """
 
 import os
@@ -58,6 +60,22 @@ def test_infer_leaves_numpy_out(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.count('"verdict"') == 2
+
+
+def test_replay_and_certify_reference_run_without_numpy():
+    tests = str(Path(__file__).resolve().parent)
+    done = run_python(
+        "import sys\n"
+        "sys.modules['numpy'] = None  # any import of numpy now fails\n"
+        f"sys.path.insert(0, {tests!r})\n"
+        "import reference_certify, replay_golden\n"
+        "from minent import greedy_coupling\n"
+        "reference_certify.certify_local_optimum(*greedy_coupling([[0.6, 0.4], [0.5, 0.5]]))\n"
+        "sys.exit(replay_golden.main())\n"
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "skipped (needs numpy): generate --family random --n 3 --m 3 --seed 7\n" in done.stdout
+    assert done.stdout.endswith(" 57 cases replayed, 0 mismatched\n")
 
 
 def test_causality_names_load_on_first_access():
