@@ -29,7 +29,6 @@ from .core import (
     DimensionError,
     DomainError,
     Marginal,
-    ResidualVector,
     SparseCoupling,
     extended_entropy,
     marginalize,
@@ -84,7 +83,6 @@ __all__ = [
     "GreedyTrace",
     "JointObservation",
     "Marginal",
-    "ResidualVector",
     "SizeCapError",
     "SparseCoupling",
     "bound_report",

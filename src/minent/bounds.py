@@ -16,7 +16,9 @@ two marginals this reduces to ``1 - T*log2(1/T) + min(h(l_1), h(l_2))``
 and ``T`` coincides with the total variation distance between the sorted
 marginals. The slack is also valid over ``max_j H(X_j)``, which is itself
 a lower bound on the optimum, so a report brackets the achieved entropy
-without knowing the optimum.
+without knowing the optimum. The report holds ``sorted_marginals``,
+``pointwise_min`` and ``residuals`` as plain tuples of floats: only the
+input marginals are validated, once, by ``coerce_marginals``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from typing import Iterable, Sequence
 from .core import (
     DomainError,
     Marginal,
-    ResidualVector,
     coerce_marginals,
     extended_entropy,
     sorted_sweep,
@@ -39,16 +40,19 @@ from .core import (
 class BoundReport:
     """Approximation bracket for a set of marginals.
 
-    ``lower_bound`` is ``max_j H(X_j)``; ``upper_bound`` is
-    ``lower_bound + slack``. ``achieved`` is a solver's coupling entropy
-    when one was run. ``residual_entropies[j]`` is ``h(l_j)`` and every
-    residual totals ``residual_total``.
+    ``sorted_marginals[j]`` is marginal j in decreasing order,
+    ``pointwise_min`` the pointwise minimum of those rows and
+    ``residuals[j]`` their difference ``l_j``, each a plain tuple of
+    floats. Every residual totals ``residual_total`` and
+    ``residual_entropies[j]`` is ``h(l_j)``. ``lower_bound`` is
+    ``max_j H(X_j)``; ``upper_bound`` is ``lower_bound + slack``.
+    ``achieved`` is a solver's coupling entropy when one was run.
     """
 
     m: int
-    sorted_marginals: tuple[Marginal, ...]
-    pointwise_min: ResidualVector
-    residuals: tuple[ResidualVector, ...]
+    sorted_marginals: tuple[tuple[float, ...], ...]
+    pointwise_min: tuple[float, ...]
+    residuals: tuple[tuple[float, ...], ...]
     residual_total: float
     residual_entropies: tuple[float, ...]
     lower_bound: float
@@ -57,19 +61,18 @@ class BoundReport:
     achieved: float | None = None
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "m": self.m,
-            "sorted_marginals": [list(p.probs) for p in self.sorted_marginals],
-            "pointwise_min": list(self.pointwise_min.masses),
-            "residuals": [list(r.masses) for r in self.residuals],
-            "residual_total": float(self.residual_total),
-            "residual_entropies": [float(h) for h in self.residual_entropies],
-            "lower_bound": float(self.lower_bound),
-            "slack": float(self.slack),
-            "upper_bound": float(self.upper_bound),
+            "sorted_marginals": [list(p) for p in self.sorted_marginals],
+            "pointwise_min": list(self.pointwise_min),
+            "residuals": [list(r) for r in self.residuals],
+            "residual_total": self.residual_total,
+            "residual_entropies": list(self.residual_entropies),
+            "lower_bound": self.lower_bound,
+            "slack": self.slack,
+            "upper_bound": self.upper_bound,
             "achieved": None if self.achieved is None else float(self.achieved),
         }
-        return out
 
 
 def _entropy_of_spread(t: float) -> float:
@@ -91,16 +94,12 @@ def bound_report(
     ms = coerce_marginals(marginals, "need at least two marginals for a bound report")
     m = len(ms)
     ranks, pmin = sorted_sweep([p.probs for p in ms])
-    sorted_ms = tuple(
-        Marginal(tuple(p.probs[i] for i in rank)) for p, rank in zip(ms, ranks)
-    )
-    residuals = tuple(
-        ResidualVector.of([v - low for v, low in zip(p.probs, pmin)])
-        for p in sorted_ms
-    )
-    total = residuals[0].total
+    sorted_ms = tuple(tuple([p.probs[i] for i in rank]) for p, rank in zip(ms, ranks))
+    residuals = tuple(tuple([v - low for v, low in zip(row, pmin)]) for row in sorted_ms)
+    total = math.fsum(residuals[0])
     h_res = tuple(extended_entropy(r) for r in residuals)
-    lower = max(extended_entropy(p) for p in sorted_ms)
+    # extended_entropy sums by fsum, so sorting leaves each H(X_j) as it is
+    lower = max(extended_entropy(p) for p in ms)
     slack = (
         1.0
         - (m - 1) * _entropy_of_spread(total)
@@ -110,7 +109,7 @@ def bound_report(
     return BoundReport(
         m=m,
         sorted_marginals=sorted_ms,
-        pointwise_min=ResidualVector.of(pmin),
+        pointwise_min=tuple(pmin),
         residuals=residuals,
         residual_total=total,
         residual_entropies=h_res,

@@ -206,12 +206,12 @@ class DirectionReport:
 
     def to_dict(self) -> dict:
         return {
-            "H_X": float(self.h_x),
-            "H_Y": float(self.h_y),
-            "H_exo_XtoY": float(self.exo_x_to_y),
-            "H_exo_YtoX": float(self.exo_y_to_x),
-            "score_XtoY": float(self.score_x_to_y),
-            "score_YtoX": float(self.score_y_to_x),
+            "H_X": self.h_x,
+            "H_Y": self.h_y,
+            "H_exo_XtoY": self.exo_x_to_y,
+            "H_exo_YtoX": self.exo_y_to_x,
+            "score_XtoY": self.score_x_to_y,
+            "score_YtoX": self.score_y_to_x,
             "margin": float(self.margin),
             "verdict": self.verdict,
             "diagnostic": self.diagnostic,

@@ -101,8 +101,8 @@ class Certificate:
     def to_dict(self) -> dict:
         return {
             "u": [list(vec) for vec in self.u],
-            "residual_norm": float(self.residual_norm),
-            "max_reconstruction_error": float(self.max_reconstruction_error),
+            "residual_norm": self.residual_norm,
+            "max_reconstruction_error": self.max_reconstruction_error,
         }
 
 

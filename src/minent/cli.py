@@ -93,10 +93,16 @@ def _read_text(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _is_number(value) -> bool:
+# float() raises OverflowError on an int whose magnitude rounds to 2 ** 1024
+_FLOAT_INT_LIMIT = 2**1024 - 2**970
+
+
+def _is_float(value) -> bool:
     # json.loads gives an int or a float for a JSON number; bool is an int
-    # subclass, so an exact type check keeps true and false out
-    return type(value) in (int, float)
+    # subclass, so exact type checks keep true and false out
+    return type(value) is float or (
+        type(value) is int and -_FLOAT_INT_LIMIT < value < _FLOAT_INT_LIMIT
+    )
 
 
 def _is_integral(value) -> bool:
@@ -106,17 +112,17 @@ def _is_integral(value) -> bool:
 def _require_shape(value, shape, where: str) -> None:
     """Raise DomainError naming ``where`` unless a JSON value has ``shape``.
 
-    ``float`` stands for a number, ``int`` for a number with no fractional
-    part, ``[s]`` for a list of ``s``, ``[s, s]`` for a pair of ``s``
-    and ``{field: s}`` for an object whose fields have ``s``; a field
-    named with a trailing ``?`` may be absent.
+    ``float`` stands for a number that ``float()`` converts, ``int`` for
+    a number with no fractional part, ``[s]`` for a list of ``s``,
+    ``[s, s]`` for a pair of ``s`` and ``{field: s}`` for an object whose
+    fields have ``s``; a field named with a trailing ``?`` may be absent.
     """
     if isinstance(shape, list):
         if not isinstance(value, list):
             raise DomainError(f"{where} is not a list")
         if len(shape) == 2 and len(value) != 2:
             raise DomainError(f"{where} is not a pair")
-        if shape[0] is float and all(map(_is_number, value)):
+        if shape[0] is float and all(map(_is_float, value)):
             return
         if shape[0] is int and all(map(_is_integral, value)):
             return
@@ -131,10 +137,12 @@ def _require_shape(value, shape, where: str) -> None:
                 _require_shape(value[name], inner, f"{where} field {name!r}")
             elif name == field:
                 raise DomainError(f"{where} lacks a {name!r} field")
-    elif not _is_number(value):
+    elif type(value) not in (int, float):
         raise DomainError(f"{where} is not a number")
     elif shape is int and not _is_integral(value):
         raise DomainError(f"{where} is not an integer")
+    elif shape is float and not _is_float(value):
+        raise DomainError(f"{where} is too large for a float")
 
 
 def _parse_rows(text: str, key: str) -> list[list[float]]:
@@ -209,10 +217,12 @@ def _load_run_file(path: str, marginals: tuple[Marginal, ...]):
     _require_shape(doc["trace"], _RUN_TRACE, "run file 'trace'")
     n = len(marginals[0])
     m = len(marginals)
-    order = tuple(
-        (tuple(int(i) for i in item["indices"]), float(item["mass"]))
-        for item in doc["entries"]
-    )
+    entries = {}
+    for k, item in enumerate(doc["entries"], start=1):
+        tup = tuple(int(i) for i in item["indices"])
+        if tup in entries:
+            raise DomainError(f"run file 'entries' item {k} repeats the cell {list(tup)}")
+        entries[tup] = float(item["mass"])
     steps = tuple(
         GreedyStep(
             iteration=int(item["iteration"]),
@@ -224,17 +234,12 @@ def _load_run_file(path: str, marginals: tuple[Marginal, ...]):
         )
         for item in doc["trace"]
     )
-    entries = {}
-    for k, (tup, mass) in enumerate(order, start=1):
-        if tup in entries:
-            raise DomainError(f"run file 'entries' item {k} repeats the cell {list(tup)}")
-        entries[tup] = mass
     boundary = doc.get("phase_boundary")
     if boundary is not None:
         _require_shape(boundary, int, "run file 'phase_boundary'")
         boundary = int(boundary)
     try:
-        coupling = SparseCoupling(m, (n,) * m, entries, order)
+        coupling = SparseCoupling(m, (n,) * m, entries)
     except (DomainError, DimensionError) as exc:
         raise CertificationError(f"run file does not encode a coupling: {exc}")
     return coupling, GreedyTrace(steps, boundary)

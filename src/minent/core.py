@@ -9,7 +9,7 @@ in bits (logarithm base 2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 # Sum-to-one checks on distributions.
@@ -66,10 +66,6 @@ class Marginal:
     def of(cls, values: Iterable[float]) -> "Marginal":
         return cls(tuple(float(v) for v in values))
 
-    @property
-    def n(self) -> int:
-        return len(self.probs)
-
     def __len__(self) -> int:
         return len(self.probs)
 
@@ -103,48 +99,6 @@ def coerce_marginals(
 
 
 @dataclass(frozen=True)
-class ResidualVector:
-    """A sub-probability vector: nonnegative masses with a recorded total.
-
-    Unlike :class:`Marginal` the masses need not sum to 1; ``total`` must
-    be finite and equal the entry sum within ``EPS_SUM``.
-    """
-
-    masses: tuple[float, ...]
-    total: float
-
-    def __post_init__(self) -> None:
-        if len(self.masses) == 0:
-            raise DomainError("residual vector needs at least one entry")
-        require_finite(self.masses, "residual vector")
-        if not math.isfinite(self.total):
-            raise DomainError(f"residual vector total {self.total!r} is not finite")
-        low = min(self.masses)
-        if low < 0.0:
-            raise DomainError(f"negative mass {low!r} in residual vector")
-        actual = math.fsum(self.masses)
-        if abs(actual - self.total) > EPS_SUM:
-            raise DomainError(
-                f"recorded total {self.total!r} differs from entry sum {actual!r}"
-            )
-
-    @classmethod
-    def of(cls, values: Iterable[float]) -> "ResidualVector":
-        masses = tuple(float(v) for v in values)
-        return cls(masses, math.fsum(masses))
-
-    @property
-    def n(self) -> int:
-        return len(self.masses)
-
-    def __len__(self) -> int:
-        return len(self.masses)
-
-    def __iter__(self) -> Iterator[float]:
-        return iter(self.masses)
-
-
-@dataclass(frozen=True)
 class SparseCoupling:
     """A joint distribution over m variables stored as tuple -> mass.
 
@@ -157,7 +111,7 @@ class SparseCoupling:
     num_vars: int
     cardinalities: tuple[int, ...]
     entries: Mapping[tuple[int, ...], float]
-    assignment_order: tuple[tuple[tuple[int, ...], float], ...] = field(default=())
+    assignment_order: tuple[tuple[tuple[int, ...], float], ...] = ()
 
     def __post_init__(self) -> None:
         if self.num_vars < 2:
@@ -195,32 +149,24 @@ class SparseCoupling:
     def num_entries(self) -> int:
         return len(self.entries)
 
-    def masses(self) -> tuple[float, ...]:
-        return tuple(self.entries.values())
 
-    def support(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self.entries.keys())
-
-
-MassLike = Marginal | ResidualVector | SparseCoupling | Mapping | Iterable[float]
+MassLike = Marginal | SparseCoupling | Mapping | Iterable[float]
 
 
 def extended_entropy(values: MassLike) -> float:
     """-sum(v * log2 v) in bits over any nonnegative vector, with 0 log 0 = 0.
 
-    Accepts a :class:`Marginal`, a :class:`ResidualVector`, a
-    :class:`SparseCoupling` (its mass multiset), a mapping from indices to
-    masses, or any iterable of floats. The input does not have to sum to 1,
-    but every entry must be finite. The terms are summed by ``math.fsum``,
-    so the result does not depend on the order of the masses.
+    Accepts a :class:`Marginal`, a :class:`SparseCoupling` (its mass
+    multiset), a mapping from indices to masses, or any iterable of floats.
+    The input does not have to sum to 1, but every entry must be finite.
+    The terms are summed by ``math.fsum``, so the result does not depend on
+    the order of the masses.
     """
-    # the three distribution types validated their entries on construction
+    # both distribution types validated their entries on construction
     if isinstance(values, SparseCoupling):
         masses = values.entries.values()
     elif isinstance(values, Marginal):
         masses = values.probs
-    elif isinstance(values, ResidualVector):
-        masses = values.masses
     else:
         if isinstance(values, Mapping):
             values = values.values()

@@ -77,9 +77,6 @@ class GreedyTrace:
     steps: tuple[GreedyStep, ...]
     phase_boundary: int | None = None
 
-    def __len__(self) -> int:
-        return len(self.steps)
-
     def positive_steps(self) -> tuple[GreedyStep, ...]:
         return tuple([s for s in self.steps if s.mass > 0.0])
 

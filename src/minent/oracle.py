@@ -261,7 +261,5 @@ def exact_min_entropy_2var(
         for support, cells in by_support.items()
     )
     width = len(pm)
-    order = tuple(
-        ((code // width + 1, code % width + 1), mass) for code, mass in best
-    )
-    return SparseCoupling(2, (width, width), dict(order), order), best_entropy
+    entries = {(code // width + 1, code % width + 1): mass for code, mass in best}
+    return SparseCoupling(2, (width, width), entries), best_entropy

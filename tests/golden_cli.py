@@ -71,6 +71,8 @@ def build_inputs() -> dict[str, str]:
         "nan.json": '{"marginals": [[0.5, 0.5], [NaN, 1.0]]}',
         "inf.csv": "0.5,0.5\ninf,1.0\n",
         "negative.json": _marginals([[0.5, 0.5], [1.5, -0.5]]),
+        # 1 and 400 zeros: an int that float() cannot convert
+        "huge.json": '{"marginals": [[1%s, 0.5], [0.5, 0.5]]}' % ("0" * 400),
         "malformed.json": "{not json",
         "no_field.json": json.dumps({"joint": [[0.5, 0.5]]}),
         "empty.csv": "\n\n",
@@ -139,6 +141,7 @@ CASES: list[tuple[list[str], dict]] = [
     (["certify", "nan.json"], {}),
     (["bound", "inf.csv"], {}),
     (["couple", "negative.json"], {}),
+    (["couple", "huge.json"], {}),
     (["couple", "malformed.json"], {}),
     (["couple", "no_field.json"], {}),
     (["bound", "empty.csv"], {}),

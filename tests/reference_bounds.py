@@ -1,12 +1,13 @@
-"""Reference bound report: ``core.sort_decreasing`` and a numpy pointwise minimum.
+"""Reference bound report: ``sort_decreasing`` below and a numpy pointwise minimum.
 
 The library builds the report from ``core.sorted_sweep``, the sweep the
 two-phase solver runs. This module keeps the form it replaces: every
 marginal sorted through a tuple key into a validated ``Marginal``, the
 pointwise minimum taken by numpy, and two self-checks that the residual
 totals agree and, for two marginals, equal the total variation distance
-between the sorted marginals. Tests require the library's report to
-equal this one, signed zeros included.
+between the sorted marginals. The report holds plain tuples of floats,
+as the library's does. Tests require the library's report to equal this
+one, signed zeros included.
 
 It also keeps the scaled outer product of the residuals, whose entropy
 meets the independence bound with equality; that identity is what caps
@@ -29,11 +30,10 @@ from minent import (
     DimensionError,
     DomainError,
     Marginal,
-    ResidualVector,
     extended_entropy,
 )
 from minent.bounds import _entropy_of_spread
-from minent.core import coerce_marginals
+from minent.core import coerce_marginals, require_finite
 
 
 def sort_decreasing(p: Marginal) -> tuple[Marginal, tuple[int, ...]]:
@@ -70,11 +70,10 @@ def bound_report(
     sorted_ms = tuple(sort_decreasing(p)[0] for p in ms)
     arr = np.array([p.probs for p in sorted_ms], dtype=float)
     pmin = arr.min(axis=0)
-    residuals = tuple(
-        ResidualVector.of(arr[j] - pmin) for j in range(m)
-    )
-    total = residuals[0].total
-    spread = max(r.total for r in residuals) - min(r.total for r in residuals)
+    residuals = tuple(tuple((arr[j] - pmin).tolist()) for j in range(m))
+    totals = [math.fsum(r) for r in residuals]
+    total = totals[0]
+    spread = max(totals) - min(totals)
     if spread > EPS_SUM:
         raise RuntimeError(f"residual totals diverged by {spread!r}")
     if m == 2:
@@ -93,8 +92,8 @@ def bound_report(
     )
     return BoundReport(
         m=m,
-        sorted_marginals=sorted_ms,
-        pointwise_min=ResidualVector.of(pmin),
+        sorted_marginals=tuple(p.probs for p in sorted_ms),
+        pointwise_min=tuple(pmin.tolist()),
         residuals=residuals,
         residual_total=total,
         residual_entropies=h_res,
@@ -106,28 +105,30 @@ def bound_report(
 
 
 def _coerce_residuals(
-    residuals: Sequence[ResidualVector | Iterable[float]],
-) -> tuple[ResidualVector, ...]:
-    rs = tuple(
-        r if isinstance(r, ResidualVector) else ResidualVector.of(r)
-        for r in residuals
-    )
+    residuals: Sequence[Iterable[float]],
+) -> tuple[tuple[tuple[float, ...], ...], float]:
+    """Nonempty, finite, nonnegative vectors of one length and their common total."""
+    rs = tuple(tuple(float(v) for v in r) for r in residuals)
     if len(rs) < 2:
         raise DomainError("need at least two residual vectors")
     n = len(rs[0])
     if any(len(r) != n for r in rs):
         raise DimensionError(f"residual lengths differ: {[len(r) for r in rs]}")
-    total = rs[0].total
-    for r in rs[1:]:
-        if abs(r.total - total) > EPS_SUM:
-            raise DomainError(
-                f"residual totals differ: {r.total!r} vs {total!r}"
-            )
-    return rs
+    for r in rs:
+        if not r:
+            raise DomainError("residual vector needs at least one entry")
+        require_finite(r, "residual vector")
+        if min(r) < 0.0:
+            raise DomainError(f"negative mass {min(r)!r} in residual vector")
+    totals = [math.fsum(r) for r in rs]
+    for t in totals[1:]:
+        if abs(t - totals[0]) > EPS_SUM:
+            raise DomainError(f"residual totals differ: {t!r} vs {totals[0]!r}")
+    return rs, totals[0]
 
 
 def outer_product_coupling(
-    residuals: Sequence[ResidualVector | Iterable[float]],
+    residuals: Sequence[Iterable[float]],
 ) -> dict[tuple[int, ...], float]:
     """Scaled outer product of residuals sharing a common total T.
 
@@ -135,14 +136,13 @@ def outer_product_coupling(
     sparse map with 1-based index tuples; its axis-j marginal is exactly
     ``l_j``. A zero total is degenerate and yields an empty map.
     """
-    rs = _coerce_residuals(residuals)
-    total = rs[0].total
+    rs, total = _coerce_residuals(residuals)
     if total <= EPS_ZERO:
         return {}
     m = len(rs)
     scale = total ** (m - 1)
     supports = [
-        [(i, v) for i, v in enumerate(r.masses) if v > 0.0] for r in rs
+        [(i, v) for i, v in enumerate(r) if v > 0.0] for r in rs
     ]
     out: dict[tuple[int, ...], float] = {}
     for combo in product(*supports):
@@ -154,7 +154,7 @@ def outer_product_coupling(
 
 
 def outer_product_entropy_identity(
-    residuals: Sequence[ResidualVector | Iterable[float]],
+    residuals: Sequence[Iterable[float]],
 ) -> tuple[float, float]:
     """Both sides of the outer-product entropy identity.
 
@@ -163,8 +163,7 @@ def outer_product_entropy_identity(
     two agree up to rounding; the identity is the equality case of the
     independence bound on the second phase's entropy contribution.
     """
-    rs = _coerce_residuals(residuals)
-    total = rs[0].total
+    rs, total = _coerce_residuals(residuals)
     lhs = extended_entropy(outer_product_coupling(rs))
     if total <= EPS_ZERO:
         return lhs, 0.0

@@ -15,9 +15,9 @@ from minent.core import require_finite
 
 
 def _mass_array(values) -> np.ndarray:
-    # a Marginal or ResidualVector iterates over its masses
+    # a Marginal iterates over its masses
     if isinstance(values, SparseCoupling):
-        return np.asarray(values.masses(), dtype=float)
+        return np.asarray(list(values.entries.values()), dtype=float)
     if isinstance(values, Mapping):
         return np.asarray(list(values.values()), dtype=float)
     return np.asarray(list(values), dtype=float)

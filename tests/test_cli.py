@@ -1,15 +1,22 @@
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from minent import Marginal, SparseCoupling, marginalize
-from minent.cli import _json_text, main
+from minent.cli import _is_float, _json_text, main
 from minent.greedy import SOLVERS
 
 from reference_cli import reference_json_text
+
+
+# the least int magnitude that float() rejects; "1" + HUGE_DIGITS is a
+# 401-digit int far beyond it
+FLOAT_INT_LIMIT = 2**1024 - 2**970
+HUGE_DIGITS = "0" * 400
 
 
 def write(tmp_path, name, text):
@@ -448,6 +455,17 @@ class TestMalformedShapes:
             ('{"marginals": [[true, false], [0.5, 0.5]]}', "'marginals' item 1 item 1 is not a number"),
             ('{"marginals": [[0.5, 0.5], [1, false]]}', "'marginals' item 2 item 2 is not a number"),
             ('{"marginals": [["0.5", "0.5"], [0.5, 0.5]]}', "'marginals' item 1 item 1 is not a number"),
+            # ints that float() rejects with OverflowError
+            pytest.param(
+                '{"marginals": [[1%s, 0.5], [0.5, 0.5]]}' % HUGE_DIGITS,
+                "'marginals' item 1 item 1 is too large for a float",
+                id="huge-int",
+            ),
+            pytest.param(
+                '{"marginals": [[0.5, 0.5], [0.5, %d]]}' % -FLOAT_INT_LIMIT,
+                "'marginals' item 2 item 2 is too large for a float",
+                id="negative-int-at-limit",
+            ),
         ],
     )
     def test_marginals_exit_2(self, tmp_path, capsys, command, text, message):
@@ -490,6 +508,16 @@ class TestMalformedShapes:
                 {"entries": [], "trace": [{"iteration": "1", "indices": [1, 1], "mass": 1.0}]},
                 "run file 'trace' item 1 field 'iteration' is not a number",
             ),
+            pytest.param(
+                {"entries": [{"indices": [1, 1], "mass": 10**400}], "trace": []},
+                "run file 'entries' item 1 field 'mass' is too large for a float",
+                id="entry-mass-huge-int",
+            ),
+            pytest.param(
+                {"entries": [], "trace": [{"iteration": 1, "indices": [1, 1], "mass": FLOAT_INT_LIMIT}]},
+                "run file 'trace' item 1 field 'mass' is too large for a float",
+                id="step-mass-int-at-limit",
+            ),
         ],
     )
     def test_run_file_exit_2(self, tmp_path, capsys, doc, message):
@@ -497,6 +525,21 @@ class TestMalformedShapes:
         run_file = write(tmp_path, "run.json", json.dumps(doc))
         code, out, err = run_cli(capsys, "certify", path, "--trace-in", run_file)
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_joint_huge_integer_exit_2(self, tmp_path, capsys):
+        text = '{"joint": [[0.25, 0.25], [0.25, 1%s]]}' % HUGE_DIGITS
+        path = write(tmp_path, "joint.json", text)
+        code, out, err = run_cli(capsys, "infer", path)
+        assert (code, out, err) == (2, "", "error: 'joint' item 2 item 2 is too large for a float\n")
+
+    def test_float_limit_is_where_float_overflows(self):
+        for value in (FLOAT_INT_LIMIT - 1, 1 - FLOAT_INT_LIMIT):
+            assert abs(float(value)) == sys.float_info.max
+            assert _is_float(value)
+        for value in (FLOAT_INT_LIMIT, -FLOAT_INT_LIMIT, 10**400):
+            with pytest.raises(OverflowError):
+                float(value)
+            assert not _is_float(value)
 
     @pytest.mark.parametrize(
         "doc, message",

@@ -11,7 +11,6 @@ from minent import (
     DimensionError,
     DomainError,
     Marginal,
-    ResidualVector,
     SparseCoupling,
     bound_report,
     exact_min_entropy_2var,
@@ -30,7 +29,7 @@ from reference_entropy import reference_entropy
 class TestMarginal:
     def test_accepts_valid(self):
         p = Marginal.of([0.2, 0.5, 0.3])
-        assert p.n == 3
+        assert len(p) == 3
         assert list(p) == [0.2, 0.5, 0.3]
 
     def test_rejects_negative(self):
@@ -95,25 +94,11 @@ class TestCoerceMarginals:
             caller(marginals)
 
 
-class TestResidualVector:
-    def test_subprobability_allowed(self):
-        r = ResidualVector.of([0.1, 0.0, 0.2])
-        assert r.total == pytest.approx(0.3, abs=1e-15)
-
-    def test_rejects_negative(self):
-        with pytest.raises(DomainError):
-            ResidualVector.of([-0.1, 0.2])
-
-    def test_rejects_inconsistent_total(self):
-        with pytest.raises(DomainError):
-            ResidualVector((0.1, 0.2), 0.5)
-
-
 class TestSparseCoupling:
     def test_valid_diagonal(self):
         c = SparseCoupling(2, (2, 2), {(1, 1): 0.5, (2, 2): 0.5})
         assert c.num_entries == 2
-        assert c.masses() == (0.5, 0.5)
+        assert tuple(c.entries.values()) == (0.5, 0.5)
 
     def test_rejects_zero_mass(self):
         with pytest.raises(DomainError):
@@ -173,7 +158,7 @@ class TestExtendedEntropy:
 
     def test_applies_to_all_mass_carriers(self):
         p = Marginal.of([0.5, 0.5])
-        r = ResidualVector.of([0.5, 0.5])
+        r = (0.5, 0.5)
         c = SparseCoupling(2, (2, 2), {(1, 1): 0.5, (2, 2): 0.5})
         assert extended_entropy(p) == extended_entropy(r) == extended_entropy(c)
 
@@ -212,7 +197,7 @@ class TestExtendedEntropy:
     def test_matches_numpy_reference_on_solver_output(self, family):
         for solve in (greedy_coupling, greedy_coupling_two_phase):
             coupling, _ = solve(family)
-            for carrier in (coupling, Marginal.of(family[0]), ResidualVector.of(family[1])):
+            for carrier in (coupling, Marginal.of(family[0]), tuple(family[1])):
                 assert math.isclose(
                     extended_entropy(carrier), reference_entropy(carrier), rel_tol=1e-12
                 )
@@ -230,14 +215,6 @@ class TestNonFiniteRejected:
     def test_marginal(self, bad):
         with pytest.raises(DomainError, match=f"marginal has non-finite entry {bad!r} at position 2"):
             Marginal.of([0.5, bad, 0.5])
-
-    def test_residual_vector_entry(self, bad):
-        with pytest.raises(DomainError, match=f"non-finite entry {bad!r} at position 1"):
-            ResidualVector.of([bad, 0.2])
-
-    def test_residual_vector_total(self, bad):
-        with pytest.raises(DomainError, match="total"):
-            ResidualVector((0.2, 0.1), bad)
 
     def test_sparse_coupling_mass(self, bad):
         with pytest.raises(DomainError, match=f"non-finite mass {bad!r} at \\(1, 1\\)"):
@@ -397,7 +374,7 @@ PUBLIC_NAMES = [
     "BoundReport", "Certificate", "CertificationError", "DEFAULT_N_CAP",
     "DimensionError", "DirectionReport", "DomainError", "EPS_CERT", "EPS_MARG",
     "EPS_SUM", "EPS_ZERO", "GreedyStep", "GreedyTrace", "JointObservation",
-    "Marginal", "ResidualVector", "SizeCapError", "SparseCoupling",
+    "Marginal", "SizeCapError", "SparseCoupling",
     "bound_report", "certify_local_optimum", "conditionals_from_joint",
     "exact_min_entropy_2var", "exogenous_entropy_estimate", "extended_entropy",
     "greedy_coupling", "greedy_coupling_two_phase", "infer_direction",
@@ -410,6 +387,6 @@ def test_public_surface():
     import minent
 
     assert sorted(minent.__all__) == sorted(PUBLIC_NAMES)
-    assert len(set(minent.__all__)) == 29
+    assert len(set(minent.__all__)) == 28
     for name in minent.__all__:
         assert getattr(minent, name) is not None

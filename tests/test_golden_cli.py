@@ -4,11 +4,19 @@ The transcript holds stdout, stderr and the exit code of each invocation,
 byte for byte, as ``golden_cli.py`` recorded them. A failure here is a
 change of CLI behaviour: fix the code, or state the change; never
 regenerate the transcript to make it pass. The replay itself lives in
-``replay_golden.py``, which also runs as a script without pytest.
+``replay_golden.py``, which also runs as a script without pytest; the
+last test here runs that script on every other installed Python from
+3.10 on, so the CLI prints the same bytes on each.
 """
 
+import glob
 import io
+import os
+import re
+import shutil
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -62,3 +70,47 @@ def test_covers_every_subcommand_and_solver():
         }
         assert algs == {"1", "2"}, command
     assert {case["code"] for case in GOLDEN["cases"]} == {0, 2, 3, 4}
+
+
+def other_interpreters() -> dict[str, str]:
+    """Every installed Python from 3.10 on but the running one, by version.
+
+    Looks under ``$PYENV_ROOT/versions`` and for ``python3.N`` on PATH.
+    An interpreter whose ``--version`` fails is left out: a pyenv shim
+    with no version selected for it exits non-zero.
+    """
+    candidates = []
+    if os.environ.get("PYENV_ROOT"):
+        pattern = os.path.join(os.environ["PYENV_ROOT"], "versions", "*", "bin", "python")
+        candidates += sorted(glob.glob(pattern))
+    candidates += filter(None, (shutil.which(f"python3.{minor}") for minor in range(10, 30)))
+    found = {}
+    for path in candidates:
+        try:
+            done = subprocess.run([path, "--version"], capture_output=True, text=True, timeout=30)
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        match = re.fullmatch(r"Python (\d+)\.(\d+)\.(\d+)\S*\s*", done.stdout + done.stderr)
+        if done.returncode != 0 or not match:
+            continue
+        version = tuple(map(int, match.groups()))
+        if version >= (3, 10) and version != sys.version_info[:3]:
+            found.setdefault(".".join(map(str, version)), path)
+    return found
+
+
+OTHER_INTERPRETERS = other_interpreters()
+
+
+@pytest.mark.parametrize("version", sorted(OTHER_INTERPRETERS))
+def test_replays_on_other_interpreters(version):
+    tests = Path(__file__).resolve().parent
+    done = subprocess.run(
+        [OTHER_INTERPRETERS[version], str(tests / "replay_golden.py")],
+        env={**os.environ, "PYTHONPATH": str(tests.parent / "src"), "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert f"Python {version}: " in done.stdout

@@ -75,7 +75,7 @@ def test_replay_and_certify_reference_run_without_numpy():
     )
     assert done.returncode == 0, done.stdout + done.stderr
     assert "skipped (needs numpy): generate --family random --n 3 --m 3 --seed 7\n" in done.stdout
-    assert done.stdout.endswith(" 57 cases replayed, 0 mismatched\n")
+    assert done.stdout.endswith(" 58 cases replayed, 0 mismatched\n")
 
 
 def test_causality_names_load_on_first_access():
@@ -89,7 +89,7 @@ def test_causality_names_load_on_first_access():
         "exec('from minent import *', namespace)\n"
         "missing = set(minent.__all__) - set(namespace)\n"
         "assert not missing, missing\n"
-        "assert len(minent.__all__) == 29\n"
+        "assert len(minent.__all__) == 28\n"
     )
     assert done.returncode == 0, done.stderr
 

@@ -77,7 +77,7 @@ def support_is_acyclic(coupling) -> bool:
 class TestEnumerateVertices:
     def test_worked_instance_has_two_vertices(self):
         vertex_set = enumerate_vertices([0.6, 0.4], [0.5, 0.5])
-        supports = {v.support() for v in vertex_set.vertices}
+        supports = {tuple(v.entries) for v in vertex_set.vertices}
         assert supports == {
             ((1, 1), (1, 2), (2, 2)),
             ((1, 1), (1, 2), (2, 1)),
@@ -97,11 +97,11 @@ class TestEnumerateVertices:
 
     def test_mass_exactly_eps_zero_is_snapped(self):
         vertex_set = enumerate_vertices([0.5, 0.5], [1.0 - EPS_ZERO, EPS_ZERO])
-        assert {v.support() for v in vertex_set.vertices} == {((1, 1), (2, 1))}
+        assert {tuple(v.entries) for v in vertex_set.vertices} == {((1, 1), (2, 1))}
 
     def test_equal_uniform_pair(self):
         vertex_set = enumerate_vertices([0.5, 0.5], [0.5, 0.5])
-        supports = {v.support() for v in vertex_set.vertices}
+        supports = {tuple(v.entries) for v in vertex_set.vertices}
         assert supports == {((1, 1), (2, 2)), ((1, 2), (2, 1))}
         assert vertex_set.best_entropy == pytest.approx(1.0, abs=1e-12)
 
