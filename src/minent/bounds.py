@@ -11,7 +11,7 @@ of the unknown optimum:
 
     slack = 1 - (m - 1) * T * log2(1/T) + sum_j h(l_j) - max_j h(l_j)
 
-with ``h`` the extended entropy and ``T log2(1/T) = 0`` at ``T = 0``. For
+with ``h`` the extended entropy; ``T log2(1/T)`` is ``h((T,))``, 0 at ``T = 0``. For
 two marginals this reduces to ``1 - T*log2(1/T) + min(h(l_1), h(l_2))``
 and ``T`` coincides with the total variation distance between the sorted
 marginals. The slack is also valid over ``max_j H(X_j)``, which is itself
@@ -75,13 +75,6 @@ class BoundReport:
         }
 
 
-def _entropy_of_spread(t: float) -> float:
-    """t * log2(1/t), extended by continuity to 0 at t = 0."""
-    if t <= 0.0:
-        return 0.0
-    return -t * math.log2(t)
-
-
 def bound_report(
     marginals: Sequence[Marginal | Iterable[float]],
     achieved: float | None = None,
@@ -102,7 +95,7 @@ def bound_report(
     lower = max(extended_entropy(p) for p in ms)
     slack = (
         1.0
-        - (m - 1) * _entropy_of_spread(total)
+        - (m - 1) * extended_entropy((total,))
         + math.fsum(h_res)
         - max(h_res)
     )

@@ -165,8 +165,6 @@ class JointObservation:
     def _pruned(cls, rows: list[list[float]]) -> "JointObservation":
         keep_rows = [i for i, row in enumerate(rows) if _pairwise_sum(row) > EPS_ZERO]
         keep_cols = [j for j, s in enumerate(_column_sums(rows)) if s > EPS_ZERO]
-        if not keep_rows or not keep_cols:
-            raise DomainError("joint observation carries no mass")
         return cls(
             tuple(tuple(rows[i][j] for j in keep_cols) for i in keep_rows),
             tuple(i + 1 for i in keep_rows),

@@ -445,6 +445,3 @@ def main(argv: list[str] | None = None) -> int:
 def run() -> None:
     raise SystemExit(main())
 
-
-if __name__ == "__main__":
-    run()

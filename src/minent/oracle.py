@@ -32,8 +32,9 @@ leaf, each support keeps its least sorted cell list; the optimum is the
 support of least ``(entropy, support)``, and only it becomes a
 ``SparseCoupling``.
 
-Measured at n = 6 (``n_cap=6``, random marginals, 2-core machine, with
-the walker before the per-node cut below) and not worth repeating: pruning on ``partial + h(meet of the residuals)``
+Measured at n = 6 (``DEFAULT_N_CAP`` raised to 6, random marginals,
+2-core machine, with the walker before the per-node cut below) and not
+worth repeating: pruning on ``partial + h(meet of the residuals)``
 cuts nodes by 16-18 % but takes 4.7 s instead of 2.5 s (median), for the
 same result; even the exact optimum as incumbent still visits 1.1
 million nodes (1.7 million from greedy), so a tighter incumbent or
@@ -47,9 +48,9 @@ leaf without one; ``-x log2 x`` and the ``EPS_ZERO`` snap are computed
 inline, and the ascending lists of live lines are passed down, filtered
 only when a step saturates a line. The walker visits the same nodes and
 returns the same leaves, in the same order, as the one it replaced
-(kept in ``tests/reference_oracle.py``, which rebuilt both live lists
-and called ``_h`` and ``_snap`` at every node and tested its own bound
-on entry). On the 121 problems of the benchmark's seed-0 ``oracle``
+(kept in ``tests/reference_oracle.py``, which rebuilt both live lists,
+computed ``-x log2 x`` and the snap in helper calls at every node and
+tested its own bound on entry). On the 121 problems of the benchmark's seed-0 ``oracle``
 pass it visits 173,959 nodes; the old walker made a call for each, the
 new one makes 75,327 calls, and ``_leaves`` at the incumbent limit
 takes a median of 0.18-0.22 s instead of 0.37-0.39 s (15 interleaved
@@ -94,14 +95,6 @@ _Candidate = tuple[tuple[int, float], ...]
 
 class SizeCapError(ValueError):
     """Instance exceeds the vertex-enumeration size cap."""
-
-
-def _snap(value: float) -> float:
-    return 0.0 if value <= EPS_ZERO else value
-
-
-def _h(value: float) -> float:
-    return -value * math.log2(value) if value > 0.0 else 0.0
 
 
 def _collect(
@@ -200,10 +193,10 @@ def _leaves(
     pm: Marginal, qm: Marginal, limit: float
 ) -> list[tuple[float, _Candidate]]:
     """Every canonical order's ``(entropy, cells)`` not pruned at ``limit``."""
-    rows = [_snap(v) for v in pm.probs]
-    cols = [_snap(v) for v in qm.probs]
-    h_rows = math.fsum(map(_h, rows))
-    h_cols = math.fsum(map(_h, cols))
+    rows = [0.0 if v <= EPS_ZERO else v for v in pm.probs]
+    cols = [0.0 if v <= EPS_ZERO else v for v in qm.probs]
+    h_rows = extended_entropy(rows)
+    h_cols = extended_entropy(cols)
     if max(h_rows, h_cols) > limit:
         return []
     live_rows = [i for i, v in enumerate(rows) if v > 0.0]
@@ -216,19 +209,8 @@ def _leaves(
     return out
 
 
-def _capped(
-    p: Marginal | Iterable[float], q: Marginal | Iterable[float], n_cap: int
-) -> tuple[Marginal, Marginal]:
-    pm, qm = coerce_marginals([p, q])
-    if len(pm) > n_cap:
-        raise SizeCapError(f"n={len(pm)} exceeds the enumeration cap {n_cap}")
-    return pm, qm
-
-
 def exact_min_entropy_2var(
-    p: Marginal | Iterable[float],
-    q: Marginal | Iterable[float],
-    n_cap: int = DEFAULT_N_CAP,
+    p: Marginal | Iterable[float], q: Marginal | Iterable[float]
 ) -> tuple[SparseCoupling, float]:
     """The global minimum entropy coupling of two small marginals.
 
@@ -240,10 +222,12 @@ def exact_min_entropy_2var(
     by more than the slack. Of the leaves within the slack of the best
     leaf, each support keeps its least sorted cell list, and the least
     ``(entropy, support)`` wins. Raises :class:`SizeCapError` above
-    ``n_cap`` states (default 5); the walk blows up combinatorially
-    beyond that.
+    ``DEFAULT_N_CAP`` states, read at call time; the walk blows up
+    combinatorially beyond that.
     """
-    pm, qm = _capped(p, q, n_cap)
+    pm, qm = coerce_marginals([p, q])
+    if len(pm) > DEFAULT_N_CAP:
+        raise SizeCapError(f"n={len(pm)} exceeds the enumeration cap {DEFAULT_N_CAP}")
     incumbent = min(
         extended_entropy(solve([pm, qm])[0]) for solve in SOLVERS.values()
     )

@@ -32,8 +32,14 @@ from minent import (
     Marginal,
     extended_entropy,
 )
-from minent.bounds import _entropy_of_spread
 from minent.core import coerce_marginals, require_finite
+
+
+def _entropy_of_spread(t: float) -> float:
+    """t * log2(1/t), extended by continuity to 0 at t = 0."""
+    if t <= 0.0:
+        return 0.0
+    return -t * math.log2(t)
 
 
 def sort_decreasing(p: Marginal) -> tuple[Marginal, tuple[int, ...]]:

@@ -21,8 +21,18 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from minent import Marginal, SparseCoupling, extended_entropy
-from minent.oracle import DEFAULT_N_CAP, _Candidate, _capped, _h, _snap
+from minent import EPS_ZERO, Marginal, SizeCapError, SparseCoupling, extended_entropy
+from minent import oracle
+from minent.core import coerce_marginals
+from minent.oracle import _Candidate
+
+
+def _snap(value: float) -> float:
+    return 0.0 if value <= EPS_ZERO else value
+
+
+def _h(value: float) -> float:
+    return -value * math.log2(value) if value > 0.0 else 0.0
 
 
 def _collect(
@@ -157,18 +167,18 @@ def _vertices(
 
 
 def enumerate_vertices(
-    p: Marginal | Iterable[float],
-    q: Marginal | Iterable[float],
-    n_cap: int = DEFAULT_N_CAP,
+    p: Marginal | Iterable[float], q: Marginal | Iterable[float]
 ) -> VertexSet:
     """Enumerate every vertex of the coupling polytope of two marginals.
 
     Walks every canonical saturating order, with no pruning, and is the
     reference :func:`exact_min_entropy_2var` is tested against. Raises
-    :class:`SizeCapError` above ``n_cap`` states (default 5); the
-    enumeration blows up combinatorially beyond that.
+    :class:`SizeCapError` above ``oracle.DEFAULT_N_CAP`` states, read at
+    call time; the enumeration blows up combinatorially beyond that.
     """
-    pm, qm = _capped(p, q, n_cap)
+    pm, qm = coerce_marginals([p, q])
+    if len(pm) > oracle.DEFAULT_N_CAP:
+        raise SizeCapError(f"n={len(pm)} exceeds the enumeration cap {oracle.DEFAULT_N_CAP}")
     vertices, best, best_entropy = _vertices(
         (cells for _, cells in _leaves(pm, qm, math.inf)), len(pm)
     )

@@ -20,6 +20,7 @@ from minent import (
     special_family,
 )
 from minent import oracle
+from minent.core import coerce_marginals
 from minent.greedy import SOLVERS
 
 import reference_oracle
@@ -110,9 +111,10 @@ class TestEnumerateVertices:
         with pytest.raises(SizeCapError):
             enumerate_vertices(uniform6, uniform6)
 
-    def test_size_cap_override(self):
+    def test_size_cap_override(self, monkeypatch):
+        monkeypatch.setattr(oracle, "DEFAULT_N_CAP", 6)
         uniform6 = [1.0 / 6] * 6
-        vertex_set = enumerate_vertices(uniform6, uniform6, n_cap=6)
+        vertex_set = enumerate_vertices(uniform6, uniform6)
         assert vertex_set.best_entropy == pytest.approx(math.log2(6), abs=1e-9)
 
     def test_length_mismatch(self):
@@ -203,7 +205,7 @@ def assert_same_as_enumeration(p, q):
 def assert_same_leaves(family, shift, limits=("inf", "incumbent")):
     """The walker's leaf list equals the reference walker's, in order."""
     p, q = family
-    pm, qm = oracle._capped(p, [v * (1.0 + shift) for v in q], oracle.DEFAULT_N_CAP)
+    pm, qm = coerce_marginals([p, [v * (1.0 + shift) for v in q]])
     incumbent = min(extended_entropy(solve([pm, qm])[0]) for solve in SOLVERS.values())
     for name in limits:
         limit = math.inf if name == "inf" else incumbent + oracle._SLACK
@@ -242,7 +244,7 @@ class TestWalker:
         assert_same_leaves(*case, limits=("inf",))
 
     def test_root_pruned(self):
-        assert oracle._leaves(*oracle._capped([0.5, 0.5], [0.5, 0.5], 5), 0.5) == []
+        assert oracle._leaves(*coerce_marginals([[0.5, 0.5], [0.5, 0.5]]), 0.5) == []
 
 
 class TestBranchAndBound:
@@ -312,10 +314,11 @@ class TestBranchAndBound:
         ],
         ids=["skewed-6", "greedy-gap-6", "spread-6"],
     )
-    def test_six_states(self, p, q):
+    def test_six_states(self, monkeypatch, p, q):
         # beyond the default cap, so no full enumeration to compare with;
         # each problem takes well under a second
-        _, optimum = exact_min_entropy_2var(p, q, n_cap=6)
+        monkeypatch.setattr(oracle, "DEFAULT_N_CAP", 6)
+        _, optimum = exact_min_entropy_2var(p, q)
         floor = max(extended_entropy(p), extended_entropy(q))
         achieved = min(
             extended_entropy(solve([p, q])[0])
