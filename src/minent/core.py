@@ -47,11 +47,13 @@ class Marginal:
     """A discrete probability distribution over states 1..n.
 
     Entries must be finite, nonnegative and sum to 1 within ``EPS_SUM``.
+    They are converted to a tuple of floats once, on construction.
     """
 
     probs: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "probs", tuple(map(float, self.probs)))
         if len(self.probs) == 0:
             raise DomainError("marginal needs at least one state")
         require_finite(self.probs, "marginal")
@@ -64,7 +66,7 @@ class Marginal:
 
     @classmethod
     def of(cls, values: Iterable[float]) -> "Marginal":
-        return cls(tuple(float(v) for v in values))
+        return cls(values)
 
     def __len__(self) -> int:
         return len(self.probs)

@@ -166,7 +166,7 @@ def _solve(
     # Entries at or below EPS_ZERO are unassignable; zero them up front so
     # every residual is either exactly 0 or strictly above EPS_ZERO.
     resid = [
-        [0.0 if v <= EPS_ZERO else float(v) for v in p.probs]
+        [0.0 if v <= EPS_ZERO else v for v in p.probs]
         for p in coerce_marginals(marginals)
     ]
     m, n = len(resid), len(resid[0])

@@ -129,6 +129,7 @@ CASES: list[tuple[list[str], dict]] = [
     (["infer", "samples.csv", "--samples"], {}),
     (["infer", "bad_joint.csv"], {}),
     (["infer", "bad_samples.csv", "--samples"], {}),
+    (["infer", "empty.csv", "--samples"], {}),
     (["infer", "joint.csv", "--margin=nan"], {}),
     (["infer", "pruned.csv"], {}),
     (["generate", "--family", "special", "--n", "4", "--alpha", "1.5"], {}),

@@ -4,9 +4,12 @@ The library walks the canonical saturating orders by branch-and-bound and
 keeps one candidate per support. This module keeps the full enumeration
 it replaces: every canonical order through this module's own walker with
 no limit, leaves merged when their supports match and their masses agree
-within 1e-9, and a ``SparseCoupling`` built for every vertex. Tests
-require the library's optimum to equal this one's ``best`` and
-``best_entropy`` exactly.
+within 1e-9, and a ``SparseCoupling`` built for every vertex. The
+greedy couplings are vertices too, reached with the solvers' rounding:
+when the better of them has a strictly lower entropy than the best
+enumerated vertex, it is ``best``, as in the library. Tests require the
+library's optimum to equal this one's ``best`` and ``best_entropy``
+exactly.
 
 ``_collect`` and ``_leaves`` here are the library's walker as it was
 before its per-node work was cut: each node tests its own bound, rebuilds
@@ -24,6 +27,7 @@ from typing import Iterable
 from minent import EPS_ZERO, Marginal, SizeCapError, SparseCoupling, extended_entropy
 from minent import oracle
 from minent.core import coerce_marginals
+from minent.greedy import SOLVERS
 from minent.oracle import _Candidate
 
 
@@ -119,7 +123,8 @@ class VertexSet:
 
     ``vertices`` is sorted by canonical support order so the set is
     deterministic regardless of enumeration order; ``best`` is the vertex
-    of minimum extended entropy.
+    of minimum extended entropy, or the better greedy coupling where that
+    one's entropy is strictly lower.
     """
 
     vertices: tuple[SparseCoupling, ...]
@@ -182,4 +187,7 @@ def enumerate_vertices(
     vertices, best, best_entropy = _vertices(
         (cells for _, cells in _leaves(pm, qm, math.inf)), len(pm)
     )
+    greedy = min((solve([pm, qm])[0] for solve in SOLVERS.values()), key=extended_entropy)
+    if best_entropy > extended_entropy(greedy):
+        best, best_entropy = greedy, extended_entropy(greedy)
     return VertexSet(tuple(vertices), best, best_entropy)

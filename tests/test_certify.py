@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from minent import (
     EPS_CERT,
+    Certificate,
     CertificationError,
+    DimensionError,
     DomainError,
     GreedyStep,
     GreedyTrace,
@@ -175,6 +177,18 @@ class TestCertifyLocalOptimum:
         with pytest.raises(CertificationError):
             certify_local_optimum(coupling, trace)
 
+    def test_trace_with_fewer_steps_than_entries_fails(self):
+        coupling = SparseCoupling(2, (2, 2), {(1, 1): 0.5, (2, 2): 0.5})
+        trace = GreedyTrace((step(1, (1, 1), 0.5),))
+        with pytest.raises(CertificationError, match="does not match"):
+            certify_local_optimum(coupling, trace)
+
+    def test_unequal_cardinalities_rejected(self):
+        coupling = SparseCoupling(2, (2, 3), {(1, 1): 1.0})
+        trace = GreedyTrace((step(1, (1, 1), 1.0),))
+        with pytest.raises(DimensionError, match="equal cardinalities"):
+            certify_local_optimum(coupling, trace)
+
     def test_zero_mass_sweep_rounds_are_ignored(self):
         coupling, trace = greedy_coupling_two_phase([[1.0, 0.0], [1.0, 0.0]])
         cert = certify_local_optimum(coupling, trace)
@@ -199,6 +213,16 @@ class TestCertifyLocalOptimum:
         assert system.num_rows <= n * m - m + 1
         assert check_last_one_property(system)
         assert np.linalg.matrix_rank(system.matrix) == system.num_rows
+
+    @pytest.mark.parametrize(
+        "residual, error, message",
+        [(2 * EPS_CERT, 0.0, "certificate residual"), (0.0, 2 * EPS_CERT, "reconstruction error")],
+        ids=["residual", "reconstruction"],
+    )
+    def test_certificate_rejects_errors_above_eps_cert(self, residual, error, message):
+        with pytest.raises(DomainError, match=message):
+            Certificate(((0.0,), (0.0,)), residual, error)
+        assert Certificate(((0.0,), (0.0,)), EPS_CERT, EPS_CERT).residual_norm == EPS_CERT
 
     def test_to_dict_shape(self):
         coupling, trace = greedy_coupling([[0.6, 0.4], [0.5, 0.5]])

@@ -239,6 +239,19 @@ class TestInfer:
         doc = json.loads(out)
         assert doc["H_X"] == pytest.approx(1.0, abs=1e-9)
 
+    def test_samples_skip_blank_rows(self, tmp_path, capsys):
+        rows = ["1,1"] * 4 + ["1,2", "2,2"] * 3
+        plain = write(tmp_path, "plain.csv", "\n".join(rows) + "\n")
+        blank = write(tmp_path, "blank.csv", "\n ,\n".join(rows) + "\n\n")
+        assert run_cli(capsys, "infer", blank, "--samples") == run_cli(
+            capsys, "infer", plain, "--samples"
+        )
+
+    def test_samples_all_blank_exit_2(self, tmp_path, capsys):
+        path = write(tmp_path, "samples.csv", "\n , \n\n")
+        code, out, err = run_cli(capsys, "infer", path, "--samples")
+        assert (code, out, err) == (2, "", "error: no samples in input\n")
+
     def test_malformed_csv_exit_2(self, tmp_path, capsys):
         path = write(tmp_path, "joint.csv", "0.5,abc\n0,0.5\n")
         code, _, _ = run_cli(capsys, "infer", path)

@@ -44,6 +44,17 @@ class TestMarginal:
         with pytest.raises(DomainError):
             Marginal.of([])
 
+    def test_entries_become_floats_on_construction(self):
+        p = Marginal((1, 0))
+        assert p.probs == (1.0, 0.0)
+        assert [type(v) for v in p.probs] == [float, float]
+        assert Marginal([0.5, 0.5]).probs == (0.5, 0.5)
+
+    def test_bound_report_of_integer_marginals_writes_floats(self):
+        doc = bound_report([Marginal((1, 0)), Marginal((0, 1))]).to_dict()
+        rows = doc["sorted_marginals"] + doc["residuals"] + [doc["pointwise_min"]]
+        assert {type(v) for row in rows for v in row} == {float}
+
 
 def shifted_pair(delta):
     p = (0.3, 0.7)
@@ -119,6 +130,25 @@ class TestSparseCoupling:
     def test_rejects_single_variable(self):
         with pytest.raises(DomainError):
             SparseCoupling(1, (2,), {(1,): 1.0})
+
+    def test_rejects_cardinality_count_other_than_num_vars(self):
+        with pytest.raises(DimensionError, match="2 variables but 3 cardinalities"):
+            SparseCoupling(2, (2, 2, 2), {(1, 1): 1.0})
+
+    def test_rejects_cardinality_below_one(self):
+        with pytest.raises(DomainError, match="cardinalities must be positive"):
+            SparseCoupling(2, (2, 0), {(1, 1): 1.0})
+
+    def test_rejects_no_entries(self):
+        with pytest.raises(DomainError, match="coupling has no entries"):
+            SparseCoupling(2, (2, 2), {})
+
+    def test_rejects_assignment_order_off_the_support(self):
+        entries = {(1, 1): 0.5, (2, 2): 0.5}
+        with pytest.raises(DomainError, match="does not cover the coupling support"):
+            SparseCoupling(2, (2, 2), entries, (((1, 1), 0.5),))
+        with pytest.raises(DomainError, match="does not cover the coupling support"):
+            SparseCoupling(2, (2, 2), entries, (((1, 1), 0.5), ((1, 2), 0.5)))
 
 
 # masses in [0, 1], subnormals and exact zeros included: every term

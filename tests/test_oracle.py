@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from minent import (
@@ -169,6 +169,18 @@ class TestEnumerateVertices:
             assert best == pytest.approx(best_direct, abs=1e-9)
 
 
+def two_marginals(min_n, max_n):
+    """Random or tied-and-tiny pairs, and a shift of the second total by
+    up to 0.49 * EPS_MARG, or none."""
+    return st.tuples(
+        st.one_of(
+            marginal_families(min_m=2, max_m=2, min_n=min_n, max_n=max_n),
+            tied_and_tiny_families(min_m=2, max_m=2, min_n=min_n, max_n=max_n),
+        ),
+        st.just(0.0) | st.floats(min_value=-0.49 * EPS_MARG, max_value=0.49 * EPS_MARG),
+    )
+
+
 class TestExactMinEntropy:
     def test_worked_instance_matches_greedy(self):
         _, best_entropy = exact_min_entropy_2var([0.6, 0.4], [0.5, 0.5])
@@ -185,14 +197,18 @@ class TestExactMinEntropy:
             _, best = exact_min_entropy_2var(p, q)
             assert best >= bound_report([p, q]).lower_bound - 1e-9
 
-    @given(family=marginal_families(min_m=2, max_m=2, min_n=2, max_n=4))
-    @settings(max_examples=60, deadline=None)
-    def test_oracle_dominates_both_solvers(self, family):
-        p, q = family
-        _, best = exact_min_entropy_2var(p, q)
+    @given(case=two_marginals(1, 4))
+    @example(case=(([0.5, 0.5 - 5e-12, 5e-12], [0.25, 0.75 - 3e-13, 3e-13]), 0.0))
+    @settings(max_examples=150, deadline=None)
+    def test_oracle_dominates_both_solvers(self, case):
+        # no tolerance: the oracle holds both greedy couplings, so its
+        # optimum never lies above either, shifted totals and dust included
+        (p, q), shift = case
+        q = [v * (1.0 + shift) for v in q]
+        coupling, best = exact_min_entropy_2var(p, q)
+        assert best == extended_entropy(coupling)
         for solver in (greedy_coupling, greedy_coupling_two_phase):
-            coupling, _ = solver([p, q])
-            assert best <= extended_entropy(coupling) + 1e-9
+            assert best <= extended_entropy(solver([p, q])[0])
 
 
 def assert_same_as_enumeration(p, q):
@@ -210,18 +226,6 @@ def assert_same_leaves(family, shift, limits=("inf", "incumbent")):
     for name in limits:
         limit = math.inf if name == "inf" else incumbent + oracle._SLACK
         assert oracle._leaves(pm, qm, limit) == reference_oracle._leaves(pm, qm, limit)
-
-
-def two_marginals(min_n, max_n):
-    """Random or tied-and-tiny pairs, and a shift of the second total by
-    up to 0.49 * EPS_MARG, or none."""
-    return st.tuples(
-        st.one_of(
-            marginal_families(min_m=2, max_m=2, min_n=min_n, max_n=max_n),
-            tied_and_tiny_families(min_m=2, max_m=2, min_n=min_n, max_n=max_n),
-        ),
-        st.just(0.0) | st.floats(min_value=-0.49 * EPS_MARG, max_value=0.49 * EPS_MARG),
-    )
 
 
 class TestWalker:
