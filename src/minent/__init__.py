@@ -5,7 +5,7 @@ local-optimality certificates for their outputs, additive approximation
 bound reports, an exact branch-and-bound oracle for small two-marginal
 instances, and an entropic causal direction test built on the solvers.
 
-The causal direction test's five names are imported on first access, so
+The causal direction test's three names are imported on first access, so
 ``import minent`` and the ``couple``, ``certify`` and ``bound`` commands
 do not compile ``causality.py`` when no bytecode is cached. None of the
 library needs numpy.
@@ -51,8 +51,6 @@ _CAUSALITY_NAMES = frozenset(
     {
         "DirectionReport",
         "JointObservation",
-        "conditionals_from_joint",
-        "exogenous_entropy_estimate",
         "infer_direction",
     }
 )
@@ -87,9 +85,7 @@ __all__ = [
     "SparseCoupling",
     "bound_report",
     "certify_local_optimum",
-    "conditionals_from_joint",
     "exact_min_entropy_2var",
-    "exogenous_entropy_estimate",
     "extended_entropy",
     "greedy_coupling",
     "greedy_coupling_two_phase",

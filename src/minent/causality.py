@@ -143,7 +143,13 @@ class JointObservation:
         total = _pairwise_sum([v for row in rows for v in row])
         if abs(total - 1.0) > EPS_SUM:
             raise DomainError(f"joint sums to {total!r}, expected 1.0")
-        return cls._pruned(rows)
+        keep_rows = [i for i, row in enumerate(rows) if _pairwise_sum(row) > EPS_ZERO]
+        keep_cols = [j for j, s in enumerate(_column_sums(rows)) if s > EPS_ZERO]
+        return cls(
+            tuple(tuple(rows[i][j] for j in keep_cols) for i in keep_rows),
+            tuple(i + 1 for i in keep_rows),
+            tuple(j + 1 for j in keep_cols),
+        )
 
     @classmethod
     def from_samples(cls, pairs: Iterable[tuple[int, int]]) -> "JointObservation":
@@ -160,24 +166,6 @@ class JointObservation:
         size = len(pairs)
         joint = tuple(tuple(c / size for c in row) for row in counts)
         return cls(joint, tuple(xs), tuple(ys))
-
-    @classmethod
-    def _pruned(cls, rows: list[list[float]]) -> "JointObservation":
-        keep_rows = [i for i, row in enumerate(rows) if _pairwise_sum(row) > EPS_ZERO]
-        keep_cols = [j for j, s in enumerate(_column_sums(rows)) if s > EPS_ZERO]
-        return cls(
-            tuple(tuple(rows[i][j] for j in keep_cols) for i in keep_rows),
-            tuple(i + 1 for i in keep_rows),
-            tuple(j + 1 for j in keep_cols),
-        )
-
-    @property
-    def n_x(self) -> int:
-        return len(self.joint)
-
-    @property
-    def n_y(self) -> int:
-        return len(self.joint[0])
 
 
 @dataclass(frozen=True)
@@ -216,42 +204,18 @@ class DirectionReport:
         }
 
 
-def conditionals_from_joint(
-    obs: JointObservation, given_axis: int
-) -> list[Marginal]:
-    """Conditional distributions of one variable given each state of the other.
-
-    ``given_axis=1`` conditions on X and returns {p(Y|X=i)} in row order;
-    ``given_axis=2`` conditions on Y and returns {p(X|Y=j)}. Zero-mass
-    conditioning states cannot occur because observations are pruned.
-    """
-    if given_axis == 1:
-        slices = obs.joint
-    elif given_axis == 2:
-        slices = tuple(zip(*obs.joint))
-    else:
-        raise DimensionError(f"given_axis must be 1 or 2, got {given_axis}")
-    conditionals = []
-    for row in slices:
-        total = _pairwise_sum(row)
-        conditionals.append(Marginal.of(v / total for v in row))
-    return conditionals
-
-
-def exogenous_entropy_estimate(
-    conditionals: Sequence[Marginal | Iterable[float]],
-    solver: str = "alg2",
+def _exogenous_entropy(
+    slices: Iterable[Sequence[float]], totals: Iterable[float], solve
 ) -> float:
-    """Greedy coupling entropy of the conditionals.
+    """Greedy coupling entropy of the conditionals ``slice / total``.
 
-    Upper-bounds their minimum joint entropy, which is itself achievable
-    as the entropy of an exogenous input independent of the conditioning
-    variable.
+    It upper-bounds their minimum joint entropy, which is itself
+    achievable as the entropy of an exogenous input independent of the
+    conditioning variable. No total is zero: observations are pruned.
     """
-    if solver not in SOLVERS:
-        names = " or ".join(map(repr, SOLVERS))
-        raise DomainError(f"unknown solver {solver!r}; use {names}")
-    coupling, _ = SOLVERS[solver](conditionals)
+    coupling, _ = solve(
+        [Marginal.of(v / total for v in row) for row, total in zip(slices, totals)]
+    )
     return extended_entropy(coupling)
 
 
@@ -281,17 +245,24 @@ def infer_direction(
     require_finite([margin], "margin")
     if margin < 0.0:
         raise DomainError(f"margin must be nonnegative, got {margin}")
-    if obs.n_x < 2 or obs.n_y < 2:
+    n_x, n_y = len(obs.joint), len(obs.joint[0])
+    if n_x < 2 or n_y < 2:
         raise DomainError(
-            f"joint observation is {obs.n_x}x{obs.n_y} after pruning; a causal "
+            f"joint observation is {n_x}x{n_y} after pruning; a causal "
             "direction needs at least two observed states of X and of Y"
         )
+    if solver not in SOLVERS:
+        names = " or ".join(map(repr, SOLVERS))
+        raise DomainError(f"unknown solver {solver!r}; use {names}")
+    solve = SOLVERS[solver]
     p_x = [_pairwise_sum(row) for row in obs.joint]
     p_y = _column_sums(obs.joint)
     h_x = extended_entropy(p_x)
     h_y = extended_entropy(p_y)
-    exo_xy = exogenous_entropy_estimate(conditionals_from_joint(obs, 1), solver)
-    exo_yx = exogenous_entropy_estimate(conditionals_from_joint(obs, 2), solver)
+    exo_xy = _exogenous_entropy(obs.joint, p_x, solve)
+    # each column by its own pairwise sum, not by p_y: its bits differ
+    columns = tuple(zip(*obs.joint))
+    exo_yx = _exogenous_entropy(columns, map(_pairwise_sum, columns), solve)
     score_xy = h_x + exo_xy
     score_yx = h_y + exo_yx
     if score_xy + margin < score_yx:

@@ -53,19 +53,23 @@ Per-node cost. A child is bounded in its parent's cell loop, before any
 call, and a child with no live row or no live column is appended as a
 leaf without one; ``-x log2 x`` and the ``EPS_ZERO`` snap are computed
 inline, and the ascending lists of live lines are passed down, filtered
-only when a step saturates a line. The walker visits the same nodes and
-returns the same leaves, in the same order, as the one it replaced
-(kept in ``tests/reference_oracle.py``, which rebuilt both live lists,
-computed ``-x log2 x`` and the snap in helper calls at every node and
-tested its own bound on entry). On the 121 problems of the benchmark's seed-0 ``oracle``
-pass it visits 173,959 nodes; the old walker made a call for each, the
-new one makes 75,327 calls, and ``_leaves`` at the incumbent limit
-takes a median of 0.18-0.22 s instead of 0.37-0.39 s (15 interleaved
-passes in one process, 2-core machine): about 1.1-1.3 us per node
-instead of 2.2. Also measured there and not worth repeating: passing
-per-line entropy arrays down with the residuals (0.19-0.24 s), and
-computing each live column's ``h`` once per node rather than once per
-cell (0.24 s).
+only when a step saturates a line. The walker is a closure in ``_leaves``
+over what a walk holds fixed (the residuals, ``width``, ``limit``, the
+leaf list and ``log2``), so a call passes only its node's eight values.
+It visits the same nodes and returns the same leaves, in the same order,
+as the walker it replaced (kept in ``tests/reference_oracle.py``, which
+rebuilt both live lists, computed ``-x log2 x`` and the snap in helper
+calls at every node and tested its own bound on entry). On the 121
+problems of the benchmark's seed-0 ``oracle`` pass it visits 173,959
+nodes; the old walker made a call for each, the new one makes 75,327
+calls, and ``_leaves`` at the incumbent limit takes a median of
+0.18-0.22 s instead of 0.37-0.39 s (15 interleaved passes in one
+process, 2-core machine): about 1.1-1.3 us per node instead of 2.2.
+Also measured there and not worth repeating: passing per-line entropy
+arrays down with the residuals (0.19-0.24 s), computing each live
+column's ``h`` once per node rather than once per cell (0.24 s), and the
+closure instead of a 13-parameter function: same time (120 n = 4
+problems took 0.34 s either way, 12 n = 5 ones 0.99 s, 16 rounds).
 """
 
 from __future__ import annotations
@@ -104,115 +108,104 @@ class SizeCapError(ValueError):
     """Instance exceeds the vertex-enumeration size cap."""
 
 
-def _collect(
-    rows: list[float],
-    cols: list[float],
-    live_rows: list[int],
-    live_cols: list[int],
-    width: int,
-    prev_row: int,
-    prev_col: int,
-    acc: _Candidate,
-    out: list[tuple[float, _Candidate]],
-    limit: float,
-    partial: float,
-    h_rows: float,
-    h_cols: float,
-) -> None:
-    """Append ``(entropy, cells)`` for each canonical order's leaf below.
-
-    ``live_rows`` and ``live_cols`` are the ascending indices of the lines
-    that still carry mass, ``partial`` is the entropy of the cells in
-    ``acc``, and ``h_rows`` and ``h_cols`` are the unnormalised entropies
-    of the live residuals. The node itself has passed the bound. A child
-    whose own partial entropy plus the larger of its two residual
-    entropies exceeds ``limit`` is pruned before the call, and a child
-    with no live row or no live column is appended as a leaf without
-    one. With ``limit = inf`` every canonical order is walked.
-    """
-    log2 = math.log2
-    prev_code = prev_row * width + prev_col
-    last_row = len(live_rows) == 1
-    last_col = len(live_cols) == 1
-    for i in live_rows:
-        row_mass = rows[i]
-        base = i * width
-        h_row = -row_mass * log2(row_mass)
-        rest_rows = h_rows - h_row
-        for j in live_cols:
-            col_mass = cols[j]
-            code = base + j
-            if code < prev_code:
-                # Skip the non-canonical (decreasing) interleaving of two
-                # assignments that commute: cells on disjoint lines always
-                # do, and cells sharing a line do when each saturates its
-                # cross line either way.
-                if i != prev_row and j != prev_col:
-                    continue
-                if i == prev_row and col_mass <= row_mass:
-                    continue
-                if j == prev_col and row_mass <= col_mass:
-                    continue
-            h_col = -col_mass * log2(col_mass)
-            # the saturated line's residual is exactly 0.0; the other's is
-            # snapped to 0.0 at or below EPS_ZERO
-            if row_mass <= col_mass:
-                mass = row_mass
-                child = partial + h_row
-                row_left = 0.0
-                hr = rest_rows
-                col_left = col_mass - row_mass
-                if col_left > EPS_ZERO:
-                    hc = h_cols - h_col - col_left * log2(col_left)
-                else:
-                    col_left = 0.0
-                    hc = h_cols - h_col
-            else:
-                mass = col_mass
-                child = partial + h_col
-                col_left = 0.0
-                hc = h_cols - h_col
-                row_left = row_mass - col_mass
-                if row_left > EPS_ZERO:
-                    hr = rest_rows - row_left * log2(row_left)
-                else:
-                    row_left = 0.0
-                    hr = rest_rows
-            if child + (hr if hr >= hc else hc) > limit:
-                continue
-            cells = acc + ((code, mass),)
-            if (last_row and not row_left) or (last_col and not col_left):
-                out.append((child, cells))
-                continue
-            rows[i] = row_left
-            cols[j] = col_left
-            _collect(
-                rows, cols,
-                live_rows if row_left else [r for r in live_rows if r != i],
-                live_cols if col_left else [c for c in live_cols if c != j],
-                width, i, j, cells, out, limit, child, hr, hc,
-            )
-            rows[i] = row_mass
-            cols[j] = col_mass
-
-
 def _leaves(
     pm: Marginal, qm: Marginal, limit: float
 ) -> list[tuple[float, _Candidate]]:
-    """Every canonical order's ``(entropy, cells)`` not pruned at ``limit``."""
+    """Every canonical order's ``(entropy, cells)`` not pruned at ``limit``.
+
+    ``collect`` walks the orders below a node that has passed the bound.
+    ``live_rows`` and ``live_cols`` are the ascending indices of the lines
+    that still carry mass, ``partial`` is the entropy of the cells in
+    ``acc``, and ``h_rows`` and ``h_cols`` are the unnormalised entropies
+    of the live residuals. A child whose own partial entropy plus the
+    larger of its two residual entropies exceeds ``limit`` is pruned
+    before the call, and a child with no live row or no live column is
+    appended as a leaf without one. With ``limit = inf`` every canonical
+    order is walked.
+    """
     rows = [0.0 if v <= EPS_ZERO else v for v in pm.probs]
     cols = [0.0 if v <= EPS_ZERO else v for v in qm.probs]
     h_rows = extended_entropy(rows)
     h_cols = extended_entropy(cols)
     if max(h_rows, h_cols) > limit:
         return []
-    live_rows = [i for i, v in enumerate(rows) if v > 0.0]
-    live_cols = [j for j, v in enumerate(cols) if v > 0.0]
+    width = len(rows)
+    log2 = math.log2
     out: list[tuple[float, _Candidate]] = []
-    _collect(
-        rows, cols, live_rows, live_cols, len(rows), -1, -1, (), out, limit,
-        0.0, h_rows, h_cols,
+
+    def collect(
+        live_rows: list[int], live_cols: list[int], prev_row: int, prev_col: int,
+        acc: _Candidate, partial: float, h_rows: float, h_cols: float,
+    ) -> None:
+        prev_code = prev_row * width + prev_col
+        last_row = len(live_rows) == 1
+        last_col = len(live_cols) == 1
+        for i in live_rows:
+            row_mass = rows[i]
+            base = i * width
+            h_row = -row_mass * log2(row_mass)
+            rest_rows = h_rows - h_row
+            for j in live_cols:
+                col_mass = cols[j]
+                code = base + j
+                if code < prev_code:
+                    # Skip the non-canonical (decreasing) interleaving of two
+                    # commuting assignments: cells on disjoint lines always
+                    # commute, and cells sharing a line do when each
+                    # saturates its cross line either way.
+                    if i != prev_row and j != prev_col:
+                        continue
+                    if i == prev_row and col_mass <= row_mass:
+                        continue
+                    if j == prev_col and row_mass <= col_mass:
+                        continue
+                h_col = -col_mass * log2(col_mass)
+                # the saturated line's residual is exactly 0.0; the other's
+                # is snapped to 0.0 at or below EPS_ZERO
+                if row_mass <= col_mass:
+                    mass = row_mass
+                    child = partial + h_row
+                    row_left = 0.0
+                    hr = rest_rows
+                    col_left = col_mass - row_mass
+                    if col_left > EPS_ZERO:
+                        hc = h_cols - h_col - col_left * log2(col_left)
+                    else:
+                        col_left = 0.0
+                        hc = h_cols - h_col
+                else:
+                    mass = col_mass
+                    child = partial + h_col
+                    col_left = 0.0
+                    hc = h_cols - h_col
+                    row_left = row_mass - col_mass
+                    if row_left > EPS_ZERO:
+                        hr = rest_rows - row_left * log2(row_left)
+                    else:
+                        row_left = 0.0
+                        hr = rest_rows
+                if child + (hr if hr >= hc else hc) > limit:
+                    continue
+                cells = acc + ((code, mass),)
+                if (last_row and not row_left) or (last_col and not col_left):
+                    out.append((child, cells))
+                    continue
+                rows[i] = row_left
+                cols[j] = col_left
+                collect(
+                    live_rows if row_left else [r for r in live_rows if r != i],
+                    live_cols if col_left else [c for c in live_cols if c != j],
+                    i, j, cells, child, hr, hc,
+                )
+                rows[i] = row_mass
+                cols[j] = col_mass
+
+    collect(
+        [i for i, v in enumerate(rows) if v > 0.0],
+        [j for j, v in enumerate(cols) if v > 0.0],
+        -1, -1, (), 0.0, h_rows, h_cols,
     )
+    del collect  # it refers to itself: free that cycle, and the leaves, now
     return out
 
 

@@ -6,7 +6,10 @@ replace, unchanged but for its imports and this docstring. Tests require
 the library to reproduce its reports bit for bit, its labels, joint
 values and warnings, and its exceptions, apart from three messages the
 library words more precisely: joints with one observed state of X or Y,
-ragged matrices, and the value in the negative-entry message.
+ragged matrices, and the value in the negative-entry message. Its
+``conditionals_from_joint`` and ``exogenous_entropy_estimate`` are the
+library's per-direction scores, which ``infer_direction`` computes itself;
+tests that need the conditionals or the estimate take them from here.
 """
 
 from __future__ import annotations

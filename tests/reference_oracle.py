@@ -12,7 +12,8 @@ library's optimum to equal this one's ``best`` and ``best_entropy``
 exactly.
 
 ``_collect`` and ``_leaves`` here are the library's walker as it was
-before its per-node work was cut: each node tests its own bound, rebuilds
+before its per-node work was cut and it became a closure in ``_leaves``:
+a module-level function, each node of which tests its own bound, rebuilds
 its live lines and calls ``_h`` and ``_snap``. Tests require
 ``oracle._leaves`` to return exactly the same leaf list, in the same
 order, at any limit.

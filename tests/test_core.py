@@ -405,8 +405,8 @@ PUBLIC_NAMES = [
     "DimensionError", "DirectionReport", "DomainError", "EPS_CERT", "EPS_MARG",
     "EPS_SUM", "EPS_ZERO", "GreedyStep", "GreedyTrace", "JointObservation",
     "Marginal", "SizeCapError", "SparseCoupling",
-    "bound_report", "certify_local_optimum", "conditionals_from_joint",
-    "exact_min_entropy_2var", "exogenous_entropy_estimate", "extended_entropy",
+    "bound_report", "certify_local_optimum", "exact_min_entropy_2var",
+    "extended_entropy",
     "greedy_coupling", "greedy_coupling_two_phase", "infer_direction",
     "marginalize", "special_family",
 ]
@@ -417,6 +417,6 @@ def test_public_surface():
     import minent
 
     assert sorted(minent.__all__) == sorted(PUBLIC_NAMES)
-    assert len(set(minent.__all__)) == 28
+    assert len(set(minent.__all__)) == 26
     for name in minent.__all__:
         assert getattr(minent, name) is not None
