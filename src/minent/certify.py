@@ -129,12 +129,27 @@ def certify_local_optimum(
     its tuple that no later step uses; its witness there is fixed by its
     equation, and witnesses no step owns are 0. Raises
     :class:`CertificationError` when the trace does not match the
-    coupling, a step owns no slot (its row would depend on later rows),
-    the system residual exceeds ``EPS_CERT`` relative to the right-hand
-    side, or any mass reconstructs off by more than ``EPS_CERT`` times
-    itself.
+    coupling, a step off the coupling has a mass other than 0.0 or a
+    cell outside the coupling's shape, a step owns no slot (its row would
+    depend on later rows), the system residual exceeds ``EPS_CERT``
+    relative to the right-hand side, or any mass reconstructs off by more
+    than ``EPS_CERT`` times itself.
     """
     positive = trace.positive_steps()
+    if len(positive) < len(trace.steps):
+        cards = coupling.cardinalities
+        for step in trace.steps:
+            if step.mass > 0.0:
+                continue
+            tup = step.chosen_tuple
+            if step.mass != 0.0 or len(tup) != len(cards) or not all(
+                1 <= state <= card for state, card in zip(tup, cards)
+            ):
+                raise CertificationError(
+                    f"step {step.iteration} assigns {step.mass!r} to the cell "
+                    f"{list(tup)}; a step off the coupling assigns 0.0 to a cell "
+                    f"within {list(cards)}"
+                )
     if not positive:
         raise CertificationError("trace has no positive-mass steps")
     if not _trace_matches_coupling(positive, coupling):

@@ -145,6 +145,26 @@ def _require_shape(value, shape, where: str) -> None:
         raise DomainError(f"{where} is too large for a float")
 
 
+# What float() and int() say of a string that is no number
+_NOT_A_NUMBER = {
+    float: "could not convert string to float: {!r}",
+    int: "invalid literal for int() with base 10: {!r}",
+}
+
+
+def _cell_number(cell: str, convert):
+    """``convert(cell)`` for a CSV cell of ASCII characters and no ``_``.
+
+    ``float()`` and ``int()`` also read digit-group underscores and
+    non-ASCII digits (``'0.2_5'``, ``'٠.٥'``, full-width ``'１'``); such
+    a cell gets the error either gives for any other non-number.
+    """
+    text = cell.strip()
+    if text.isascii() and "_" not in text:
+        return convert(cell)
+    raise ValueError(_NOT_A_NUMBER[convert].format(cell))
+
+
 def _parse_rows(text: str, key: str) -> list[list[float]]:
     stripped = text.lstrip()
     if stripped.startswith("{"):
@@ -155,7 +175,7 @@ def _parse_rows(text: str, key: str) -> list[list[float]]:
         _require_shape(rows, [[float]], repr(key))
     else:
         rows = [
-            [float(cell) for cell in row if cell.strip() != ""]
+            [_cell_number(cell, float) for cell in row if cell.strip() != ""]
             for row in csv.reader(io.StringIO(text))
             if any(cell.strip() != "" for cell in row)
         ]
@@ -297,7 +317,7 @@ def _load_samples(text: str) -> list[tuple[int, int]]:
             continue
         if len(cells) != 2:
             raise DomainError(f"sample row needs two values, got {row!r}")
-        pairs.append((int(cells[0]), int(cells[1])))
+        pairs.append((_cell_number(cells[0], int), _cell_number(cells[1], int)))
     if not pairs:
         raise DomainError("no samples in input")
     return pairs

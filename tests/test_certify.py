@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -193,6 +194,26 @@ class TestCertifyLocalOptimum:
         coupling, trace = greedy_coupling_two_phase([[1.0, 0.0], [1.0, 0.0]])
         cert = certify_local_optimum(coupling, trace)
         assert rebuilt_mass(cert, (1, 1)) == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "tup, mass",
+        [((1, 2), math.nan), ((1, 2), -0.25), ((1, 2), -math.inf), ((7, 9), 0.0),
+         ((0, 1), 0.0), ((1,), 0.0), ((1, 1, 1), 0.0), ((7, 9), math.nan)],
+        ids=["nan", "negative", "minus-inf", "zero-outside", "zero-state-0",
+             "zero-short", "zero-long", "nan-outside"],
+    )
+    def test_step_off_the_coupling_needs_zero_mass_in_shape(self, tup, mass):
+        coupling, trace = greedy_coupling([[0.6, 0.4], [0.5, 0.5]])
+        doctored = GreedyTrace(trace.steps + (step(7, tup, mass),))
+        message = f"^step 7 assigns {re.escape(repr(mass))} to the cell {re.escape(str(list(tup)))}; "
+        with pytest.raises(CertificationError, match=message):
+            certify_local_optimum(coupling, doctored)
+
+    def test_zero_mass_steps_in_shape_keep_the_certificate(self):
+        coupling, trace = greedy_coupling([[0.6, 0.4], [0.5, 0.5]])
+        extra = (step(4, (2, 2), 0.0), step(5, (1, 1), -0.0))
+        doctored = GreedyTrace(extra[:1] + trace.steps + extra[1:])
+        assert certify_local_optimum(coupling, doctored) == certify_local_optimum(coupling, trace)
 
     @pytest.mark.parametrize("solver", SOLVERS)
     @given(family=marginal_families())

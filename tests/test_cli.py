@@ -138,6 +138,39 @@ class TestCertify:
         assert code == 3
         assert json.loads(out)["local_optimum_certified"] is False
 
+    @pytest.mark.parametrize(
+        "extra, iteration",
+        [
+            ({"indices": [7, 9], "mass": math.nan}, 9),
+            ({"indices": [1, 1], "mass": -0.25}, 9),
+            ({"indices": [3, 1], "mass": 0.0}, 9),
+            ({"indices": [1], "mass": 0.0}, 9),
+        ],
+        ids=["nan-off-shape", "negative", "zero-off-shape", "zero-short-cell"],
+    )
+    def test_bad_step_off_the_coupling_exit_3(self, tmp_path, capsys, extra, iteration):
+        path = problem_file(tmp_path, [[0.6, 0.4], [0.5, 0.5]])
+        _, out, _ = run_cli(capsys, "couple", path, "--alg", "2", "--trace")
+        doc = json.loads(out)
+        doc["trace"].append({"iteration": iteration, "saturated": [], **extra})
+        doc["trace"].append({"iteration": 10, "indices": [1, 1], "mass": -0.25, "saturated": []})
+        run_file = write(tmp_path, "doctored.json", json.dumps(doc))
+        code, out, err = run_cli(capsys, "certify", path, "--trace-in", run_file)
+        assert (code, err) == (3, "")
+        doc = json.loads(out)
+        assert doc["local_optimum_certified"] is False
+        assert doc["reason"].startswith(f"step {iteration} assigns ")
+
+    def test_zero_mass_step_in_shape_certifies(self, tmp_path, capsys):
+        path = problem_file(tmp_path, [[0.6, 0.4], [0.5, 0.5]])
+        _, out, _ = run_cli(capsys, "couple", path, "--alg", "2", "--trace")
+        expected = run_cli(capsys, "certify", path, "--trace-in", write(tmp_path, "run.json", out))
+        doc = json.loads(out)
+        doc["trace"].append({"iteration": 9, "indices": [2, 2], "mass": -0.0, "saturated": []})
+        run_file = write(tmp_path, "extra.json", json.dumps(doc))
+        assert run_cli(capsys, "certify", path, "--trace-in", run_file) == expected
+        assert expected[0] == 0
+
     def test_infeasible_entries_exit_3(self, tmp_path, capsys):
         path = problem_file(tmp_path, [[0.6, 0.4], [0.5, 0.5]])
         _, out, _ = run_cli(capsys, "couple", path, "--alg", "1", "--trace")
@@ -423,6 +456,43 @@ class TestNonFiniteInput:
         code, _, err = run_cli(capsys, "infer", path)
         assert code == 2
         assert "joint row 1 has non-finite entry nan at position 2" in err
+
+
+class TestStrictCsvNumbers:
+    """CSV cells are ASCII numbers: float() and int() would also read
+    digit-group underscores and non-ASCII digits."""
+
+    CELLS = ["0.2_5", "\u0660.\u0662\u0665", "\uff10.\uff12\uff15"]
+
+    @pytest.mark.parametrize("cell", CELLS, ids=["underscore", "arabic-indic", "full-width"])
+    @pytest.mark.parametrize("command", ["couple", "certify", "bound", "infer"])
+    def test_matrix_cell_exit_2(self, tmp_path, capsys, command, cell):
+        path = write(tmp_path, "p.csv", f"0.75,{cell}\n0.5,0.5\n")
+        code, out, err = run_cli(capsys, command, path)
+        assert (code, out) == (2, "")
+        assert err == f"error: could not convert string to float: {cell!r}\n"
+
+    @pytest.mark.parametrize(
+        "cell", ["1_0", "\u0661", "\uff11", " 1_0 "],
+        ids=["underscore", "arabic-indic", "full-width", "padded-underscore"],
+    )
+    def test_sample_cell_exit_2(self, tmp_path, capsys, cell):
+        path = write(tmp_path, "samples.csv", f"1,2\n{cell},1\n2,2\n")
+        code, out, err = run_cli(capsys, "infer", path, "--samples")
+        assert (code, out) == (2, "")
+        assert err == f"error: invalid literal for int() with base 10: {cell!r}\n"
+
+    def test_ascii_cells_read_as_before(self, tmp_path, capsys):
+        plain = write(tmp_path, "plain.csv", "0.25,0.75\n0.5,0.5\n")
+        padded = write(tmp_path, "padded.csv", " 0.25 ,\t0.75\n+0.5,5e-1\n")
+        assert run_cli(capsys, "couple", padded) == run_cli(capsys, "couple", plain)
+        samples = write(tmp_path, "samples.csv", " 1 ,+2\n-1,1\n")
+        code, _, _ = run_cli(capsys, "infer", samples, "--samples")
+        assert code == 0
+        path = write(tmp_path, "bad.csv", "0.5, abc \n0,0.5\n")
+        assert run_cli(capsys, "infer", path) == (
+            2, "", "error: could not convert string to float: ' abc '\n"
+        )
 
 
 class TestOneIngestRule:
