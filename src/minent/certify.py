@@ -137,18 +137,18 @@ def certify_local_optimum(
     """
     positive = trace.positive_steps()
     if len(positive) < len(trace.steps):
-        cards = coupling.cardinalities
+        shape = coupling.cardinalities
         for step in trace.steps:
             if step.mass > 0.0:
                 continue
             tup = step.chosen_tuple
-            if step.mass != 0.0 or len(tup) != len(cards) or not all(
-                1 <= state <= card for state, card in zip(tup, cards)
+            if step.mass != 0.0 or len(tup) != len(shape) or not all(
+                1 <= state <= card for state, card in zip(tup, shape)
             ):
                 raise CertificationError(
                     f"step {step.iteration} assigns {step.mass!r} to the cell "
                     f"{list(tup)}; a step off the coupling assigns 0.0 to a cell "
-                    f"within {list(cards)}"
+                    f"within {list(shape)}"
                 )
     if not positive:
         raise CertificationError("trace has no positive-mass steps")

@@ -157,7 +157,8 @@ def _cell_number(cell: str, convert):
 
     ``float()`` and ``int()`` also read digit-group underscores and
     non-ASCII digits (``'0.2_5'``, ``'٠.٥'``, full-width ``'１'``); such
-    a cell gets the error either gives for any other non-number.
+    a cell gets the error either gives for any other non-number. The
+    whitespace around a cell is left to ``convert``, which strips it.
     """
     text = cell.strip()
     if text.isascii() and "_" not in text:

@@ -73,17 +73,15 @@ def test_values_keep_six_significant_digits():
     assert medians["instance_p50_s"]["parent_median"] == 3.33333e-05
 
 
-@pytest.mark.parametrize("item", ["nosuch", "oracle=1"])
+@pytest.mark.parametrize("item", ["nosuch", "oracle=1", "oracle=ten"])
 def test_plan_rejects_unknown_workloads_and_single_pairs(item):
     with pytest.raises(SystemExit):
         bench_pairs.parse_args(["--parent", "HEAD~1", "--pr", "1", "--workload", item], ["oracle"])
 
 
 def test_plan_defaults_to_every_workload():
-    args = bench_pairs.parse_args(
-        ["--parent", "HEAD~1", "--pr", "1", "--pairs", "4"], ["oracle", "cli"]
-    )
-    assert args.plan == {"oracle": 4, "cli": 4}
+    args = bench_pairs.parse_args(["--parent", "HEAD~1", "--pr", "1"], ["oracle", "cli"])
+    assert args.plan == {"oracle": 10, "cli": 10}
     args = bench_pairs.parse_args(
         ["--parent", "HEAD~1", "--pr", "1", "--workload", "cli=3", "--workload", "oracle"],
         ["oracle", "cli"],

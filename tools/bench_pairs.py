@@ -2,18 +2,18 @@
 
 Usage::
 
-    python tools/bench_pairs.py --parent REV --pr N [--change REV]
-        [--pairs 10] [--workload NAME[=PAIRS] ...]
+    python tools/bench_pairs.py --parent REV --pr N [--workload NAME[=PAIRS] ...]
 
-Both revisions are exported with ``git archive`` into one temporary
-directory, so the runs write nothing in the repository; the only file
-written is ``BENCH_<pr>.json`` at the repository root. The command, the
-run length, the workloads and the end-to-end metrics come from
-``BENCHMARK.json``. Seed ``s`` of a workload runs ``--workload W --seed s
---seconds <run_seconds> --trace 0`` in each tree, the parent first when
-``s`` is odd and the change first when it is even, and each run's last
-stdout line is its result. Without ``--workload`` every workload gets
-``--pairs`` pairs.
+The parent revision and ``HEAD`` are exported with ``git archive`` into
+one temporary directory, so uncommitted edits are not measured and the
+runs write nothing in the repository; the only file written is
+``BENCH_<pr>.json`` at the repository root. The command, the run length,
+the workloads and the end-to-end metrics come from ``BENCHMARK.json``.
+Seed ``s`` of a workload runs ``--workload W --seed s --seconds
+<run_seconds> --trace 0`` in each tree, the parent first when ``s`` is
+odd and the change first when it is even, and each run's last stdout
+line is its result. A workload named without a count gets 10 pairs;
+without ``--workload`` every workload does.
 
 For each workload and end-to-end metric the file holds both sides'
 medians and quartiles, and how many pairs the change won, where ties
@@ -135,12 +135,10 @@ def summarize(pairs: list[tuple[int, dict, dict]], metrics: list[dict]) -> dict:
 def parse_args(argv: list[str] | None, names: list[str]) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="parent revision")
-    parser.add_argument("--change", default="HEAD", help="changed revision (default HEAD)")
     parser.add_argument("--pr", required=True, help="names the output BENCH_<pr>.json")
-    parser.add_argument("--pairs", type=int, default=10, help="pairs per workload (default 10)")
     parser.add_argument(
         "--workload", action="append", default=[], metavar="NAME[=PAIRS]",
-        help="a workload, optionally with its own pair count; repeatable (default: all)",
+        help="a workload and its pair count (default 10); repeatable (default: all)",
     )
     args = parser.parse_args(argv)
     plan = {}
@@ -148,7 +146,10 @@ def parse_args(argv: list[str] | None, names: list[str]) -> argparse.Namespace:
         name, _, count = item.partition("=")
         if name not in names:
             parser.error(f"unknown workload {name!r}; BENCHMARK.json has {', '.join(names)}")
-        plan[name] = int(count) if count else args.pairs
+        try:
+            plan[name] = int(count) if count else 10
+        except ValueError:
+            parser.error(f"{name}: pair count {count!r} is not an integer")
         if plan[name] < 2:
             parser.error(f"{name}: quartiles need at least 2 pairs")
     args.plan = plan
@@ -167,13 +168,13 @@ def main(argv: list[str] | None = None) -> int:
         "protocol": "alternating parent/change pairs, parent first on odd seeds; "
         + ", ".join(f"seeds 1-{n} on {w}" for w, n in args.plan.items())
         + "; parent and change are the runs of the median seed",
-        "revisions": {"parent": commit(args.parent), "change": commit(args.change)},
+        "revisions": {"parent": commit(args.parent), "change": commit("HEAD")},
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {
             "parent": export(args.parent, Path(tmp) / "parent"),
-            "change": export(args.change, Path(tmp) / "change"),
+            "change": export("HEAD", Path(tmp) / "change"),
         }
         for workload, count in args.plan.items():
             pairs = []
