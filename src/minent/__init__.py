@@ -7,8 +7,9 @@ instances, and an entropic causal direction test built on the solvers.
 
 The causal direction test's three names are imported on first access, so
 ``import minent`` and the ``couple``, ``certify`` and ``bound`` commands
-do not compile ``causality.py`` when no bytecode is cached. None of the
-library needs numpy.
+do not compile ``causality.py`` when no bytecode is cached. Nothing in
+the package needs numpy: ``generate --family random`` draws numpy's
+seeded numbers in pure Python (``_random.py``).
 """
 
 from .bounds import (

@@ -40,6 +40,16 @@ from .greedy import SOLVERS, GreedyStep, GreedyTrace
 from .oracle import SizeCapError, exact_min_entropy_2var
 
 
+def _float_text(value: float) -> str:
+    """A float rounded to 12 significant digits, as JSON text."""
+    value = float(f"{value:.12g}")
+    if math.isfinite(value):
+        return float.__repr__(value)
+    if value != value:
+        return "NaN"
+    return "Infinity" if value > 0.0 else "-Infinity"
+
+
 def _json_text(obj, indent: str = "\n") -> str:
     """``json.dumps(obj, indent=2)`` with every float first rounded to 12
     significant digits, written in one pass.
@@ -58,12 +68,7 @@ def _json_text(obj, indent: str = "\n") -> str:
     if isinstance(obj, int):
         return int.__repr__(obj)
     if isinstance(obj, float):
-        value = float(f"{obj:.12g}")
-        if math.isfinite(value):
-            return float.__repr__(value)
-        if value != value:
-            return "NaN"
-        return "Infinity" if value > 0.0 else "-Infinity"
+        return _float_text(obj)
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     inner = indent + "  "
@@ -76,11 +81,16 @@ def _json_text(obj, indent: str = "\n") -> str:
         ]
         return "{" + inner + ("," + inner).join(items) + indent + "}"
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [_json_text(value, inner) for value in obj]
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
+        return _list_text([_json_text(value, inner) for value in obj], indent)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _list_text(items: list[str], indent: str) -> str:
+    """A list as ``_json_text`` lays it out, from its items' text."""
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    return "[" + inner + ("," + inner).join(items) + indent + "]"
 
 
 def _emit(payload: dict) -> None:
@@ -152,18 +162,33 @@ _NOT_A_NUMBER = {
 }
 
 
-def _cell_number(cell: str, convert):
-    """``convert(cell)`` for a CSV cell of ASCII characters and no ``_``.
+def _ascii_number(text: str, convert):
+    """``convert(text)`` for a CSV cell or an option value of ASCII
+    characters and no ``_``.
 
     ``float()`` and ``int()`` also read digit-group underscores and
     non-ASCII digits (``'0.2_5'``, ``'٠.٥'``, full-width ``'１'``); such
-    a cell gets the error either gives for any other non-number. The
-    whitespace around a cell is left to ``convert``, which strips it.
+    text gets the error either gives for any other non-number. The
+    whitespace around it is left to ``convert``, which strips it.
     """
-    text = cell.strip()
-    if text.isascii() and "_" not in text:
-        return convert(cell)
-    raise ValueError(_NOT_A_NUMBER[convert].format(cell))
+    stripped = text.strip()
+    if stripped.isascii() and "_" not in stripped:
+        return convert(text)
+    raise ValueError(_NOT_A_NUMBER[convert].format(text))
+
+
+def _option_type(convert):
+    """An argparse ``type`` that reads numbers as ``_ascii_number`` does.
+
+    It carries ``convert``'s name, so argparse still reports
+    ``invalid int value: ...`` or ``invalid float value: ...``.
+    """
+
+    def parse(text: str):
+        return _ascii_number(text, convert)
+
+    parse.__name__ = convert.__name__
+    return parse
 
 
 def _parse_rows(text: str, key: str) -> list[list[float]]:
@@ -176,7 +201,7 @@ def _parse_rows(text: str, key: str) -> list[list[float]]:
         _require_shape(rows, [[float]], repr(key))
     else:
         rows = [
-            [_cell_number(cell, float) for cell in row if cell.strip() != ""]
+            [_ascii_number(cell, float) for cell in row if cell.strip() != ""]
             for row in csv.reader(io.StringIO(text))
             if any(cell.strip() != "" for cell in row)
         ]
@@ -189,38 +214,54 @@ def _load_marginals(path: str) -> tuple[Marginal, ...]:
     return coerce_marginals(_parse_rows(_read_text(path), "marginals"))
 
 
-def _entries_payload(coupling: SparseCoupling) -> list[dict]:
-    return [
-        {"indices": list(tup), "mass": mass}
+# What _json_text writes for one item of ``couple``'s two long lists, at
+# the depth where they sit: an entry, a trace step and one of a step's
+# (axis, state) pairs. A cell's indices, never empty, are joined by
+# _INDEX_SEP into the ``%s`` of its ``indices`` list.
+_ENTRY = '{\n      "indices": [\n        %s\n      ],\n      "mass": %s\n    }'
+_STEP = (
+    '{\n      "iteration": %d,\n      "indices": [\n        %s\n      ],'
+    '\n      "mass": %s,\n      "saturated": %s\n    }'
+)
+_PAIR = "[\n          %d,\n          %d\n        ]"
+_INDEX_SEP = ",\n        "
+
+
+def _couple_text(coupling: SparseCoupling, trace: GreedyTrace, with_trace: bool) -> str:
+    """``couple``'s output: what ``_json_text`` writes for its payload.
+
+    The entries and the trace's steps are laid out from fixed templates,
+    their indices joined as ints and their masses written by
+    ``_float_text``; the scalar fields go through ``_json_text``. The
+    payload it stands for is built in ``tests/reference_cli.py``.
+    """
+    entries = [
+        _ENTRY % (_INDEX_SEP.join(map(str, tup)), _float_text(mass))
         for tup, mass in coupling.assignment_order
     ]
-
-
-def _trace_payload(trace: GreedyTrace) -> list[dict]:
-    return [
-        {
-            "iteration": step.iteration,
-            "indices": list(step.chosen_tuple),
-            "mass": step.mass,
-            "saturated": [list(pair) for pair in sorted(step.saturated_axes)],
-        }
-        for step in trace.steps
-    ]
+    fields = {"entropy_bits": extended_entropy(coupling), "steps": len(trace.steps)}
+    if trace.phase_boundary is not None:
+        fields["phase_boundary"] = trace.phase_boundary
+    parts = ['"entries": ' + _list_text(entries, "\n  ")]
+    parts += [f'"{key}": {_json_text(value)}' for key, value in fields.items()]
+    if with_trace:
+        steps = [
+            _STEP % (
+                step.iteration,
+                _INDEX_SEP.join(map(str, step.chosen_tuple)),
+                _float_text(step.mass),
+                _list_text([_PAIR % pair for pair in sorted(step.saturated_axes)], "\n      "),
+            )
+            for step in trace.steps
+        ]
+        parts.append('"trace": ' + _list_text(steps, "\n  "))
+    return "{\n  " + ",\n  ".join(parts) + "\n}"
 
 
 def cmd_couple(args: argparse.Namespace) -> int:
     marginals = _load_marginals(args.input)
     coupling, trace = SOLVERS["alg" + args.alg](marginals)
-    payload = {
-        "entries": _entries_payload(coupling),
-        "entropy_bits": extended_entropy(coupling),
-        "steps": len(trace.steps),
-    }
-    if trace.phase_boundary is not None:
-        payload["phase_boundary"] = trace.phase_boundary
-    if args.trace:
-        payload["trace"] = _trace_payload(trace)
-    _emit(payload)
+    sys.stdout.write(_couple_text(coupling, trace, args.trace) + "\n")
     return 0
 
 
@@ -318,7 +359,7 @@ def _load_samples(text: str) -> list[tuple[int, int]]:
             continue
         if len(cells) != 2:
             raise DomainError(f"sample row needs two values, got {row!r}")
-        pairs.append((_cell_number(cells[0], int), _cell_number(cells[1], int)))
+        pairs.append((_ascii_number(cells[0], int), _ascii_number(cells[1], int)))
     if not pairs:
         raise DomainError("no samples in input")
     return pairs
@@ -367,14 +408,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
             raise DomainError(f"--n must be at least 1, got {args.n}")
         if args.m < 2:
             raise DomainError(f"--m must be at least 2, got {args.m}")
-        # numpy's generator, so a seed gives the files it always gave
-        import numpy as np
+        # numpy's generator, drawn without numpy, so a seed gives the files
+        # it always gave
+        from ._random import dirichlet_rows
 
-        rng = np.random.default_rng(args.seed)
-        marginals = rng.dirichlet(np.ones(args.n), size=args.m)
         _emit(
             {
-                "marginals": [[float(v) for v in row] for row in marginals],
+                "marginals": dirichlet_rows(args.seed, args.n, args.m),
                 "family": "random",
                 "n": args.n,
                 "m": args.m,
@@ -422,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
         "input",
         help="CSV joint matrix (rows = X states), or sample pairs with --samples",
     )
-    infer.add_argument("--margin", type=float, default=0.0)
+    infer.add_argument("--margin", type=_option_type(float), default=0.0)
     infer.add_argument(
         "--samples",
         action="store_true",
@@ -433,10 +473,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     generate = sub.add_parser("generate", help="emit a reproducible problem file")
     generate.add_argument("--family", choices=["special", "random"], required=True)
-    generate.add_argument("--n", type=int, required=True)
-    generate.add_argument("--alpha", type=float, help="special family skew in (1, 2)")
-    generate.add_argument("--m", type=int, default=2, help="number of random marginals")
-    generate.add_argument("--seed", type=int, default=0)
+    generate.add_argument("--n", type=_option_type(int), required=True)
+    generate.add_argument(
+        "--alpha", type=_option_type(float), help="special family skew in (1, 2)"
+    )
+    generate.add_argument(
+        "--m", type=_option_type(int), default=2, help="number of random marginals"
+    )
+    generate.add_argument("--seed", type=_option_type(int), default=0)
     generate.set_defaults(func=cmd_generate)
 
     return parser

@@ -137,6 +137,10 @@ CASES: list[tuple[list[str], dict]] = [
     (["generate", "--family", "special", "--n", "4"], {}),
     (["generate", "--family", "special", "--n", "3", "--alpha", "1.5"], {}),
     (["generate", "--family", "random", "--n", "0"], {}),
+    (["generate", "--family", "random", "--n", "5", "--m", "2", "--seed", "0"], {}),
+    # a seed above 2 ** 64 spans three 32-bit words of SeedSequence entropy
+    (["generate", "--family", "random", "--n", "5", "--m", "2", "--seed", "18446744073709551617"], {}),
+    (["generate", "--family", "random", "--n", "5", "--m", "2", "--seed", "-1"], {}),
     (["couple", "ragged.csv"], {}),
     (["couple", "apart.json"], {}),
     (["certify", "nan.json"], {}),

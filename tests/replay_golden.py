@@ -8,16 +8,14 @@ recorded. From the repository root:
 
 Each case runs in process through ``minent.cli.main`` inside a scratch
 directory that holds the transcript's input files. Every mismatch is
-printed, and the exit code is 1 if there is one. Without numpy the one
-case that draws from numpy's generator (``generate --family random``
-with a valid size) is skipped, and the skip is printed.
+printed, and the exit code is 1 if there is one. Every case replays:
+``generate --family random`` draws numpy's numbers without numpy.
 ``test_golden_cli.py`` replays through the same functions.
 """
 
 from __future__ import annotations
 
 import contextlib
-import importlib.util
 import io
 import json
 import os
@@ -41,11 +39,6 @@ def write_inputs(directory: Path) -> None:
             (directory / case["save"]).write_text(case["stdout"], encoding="utf-8")
 
 
-def needs_numpy(case: dict) -> bool:
-    """True for a case that reaches numpy's generator."""
-    return case["argv"][:3] == ["generate", "--family", "random"] and case["code"] == 0
-
-
 def replay(case: dict) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of one case, run in the current directory."""
     from minent.cli import main
@@ -66,7 +59,6 @@ def expected(case: dict) -> tuple[int, str, str]:
 
 
 def main() -> int:
-    have_numpy = importlib.util.find_spec("numpy") is not None
     mismatches = replayed = 0
     start = os.getcwd()
     with tempfile.TemporaryDirectory() as scratch:
@@ -75,9 +67,6 @@ def main() -> int:
         try:
             for case in GOLDEN["cases"]:
                 argv = " ".join(case["argv"])
-                if needs_numpy(case) and not have_numpy:
-                    print(f"skipped (needs numpy): {argv}")
-                    continue
                 replayed += 1
                 got = replay(case)
                 if got != expected(case):

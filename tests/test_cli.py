@@ -7,10 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from minent import Marginal, SparseCoupling, marginalize
-from minent.cli import _is_float, _json_text, main
+from minent.cli import _couple_text, _is_float, _json_text, main
+from minent.core import coerce_marginals
 from minent.greedy import SOLVERS
 
-from reference_cli import reference_json_text
+from conftest import marginal_families, tied_and_tiny_families
+from reference_cli import couple_payload, reference_json_text
 
 
 # the least int magnitude that float() rejects; "1" + HUGE_DIGITS is a
@@ -495,6 +497,44 @@ class TestStrictCsvNumbers:
         )
 
 
+class TestStrictOptionNumbers:
+    """Numeric options follow the CSV rule: int() and float() would also
+    read digit-group underscores and non-ASCII digits."""
+
+    @pytest.mark.parametrize(
+        "argv, option, kind, value",
+        [
+            (["generate", "--family", "special", "--n", "٣", "--alpha", "1.5"], "--n", "int", "٣"),
+            (["generate", "--family", "random", "--n", "3", "--seed", "1_0"], "--seed", "int", "1_0"),
+            (["generate", "--family", "random", "--n", "3", "--m", "２"], "--m", "int", "２"),
+            (["generate", "--family", "special", "--n", "4", "--alpha", "1_5"], "--alpha", "float", "1_5"),
+            (["generate", "--family", "special", "--n", "4", "--alpha", "١.٥"], "--alpha", "float", "١.٥"),
+            (["infer", "{joint}", "--margin", "0.0_1"], "--margin", "float", "0.0_1"),
+            (["infer", "{joint}", "--margin", " ０ "], "--margin", "float", " ０ "),
+        ],
+        ids=["n-arabic-indic", "seed-underscore", "m-full-width", "alpha-underscore",
+             "alpha-arabic-indic", "margin-underscore", "margin-padded-full-width"],
+    )
+    def test_exit_2_as_argparse_words_it(self, tmp_path, capsys, argv, option, kind, value):
+        joint = write(tmp_path, "joint.csv", "0.3,0.1\n0.2,0.4\n")
+        with pytest.raises(SystemExit) as exit_info:
+            main([a.format(joint=joint) for a in argv])
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: argument {option}: invalid {kind} value: {value!r}\n")
+
+    def test_ascii_values_read_as_before(self, tmp_path, capsys):
+        code, out, _ = run_cli(capsys, "generate", "--family", "special", "--n", " 4 ", "--alpha", "+1.5")
+        assert code == 0
+        assert run_cli(capsys, "generate", "--family", "special", "--n", "4", "--alpha", "1.5")[1] == out
+        code, out, _ = run_cli(capsys, "generate", "--family", "random", "--n", "3", "--m", "+2", "--seed", "10")
+        assert code == 0
+        assert json.loads(out)["seed"] == 10
+        joint = write(tmp_path, "joint.csv", "0.3,0.1\n0.2,0.4\n")
+        assert run_cli(capsys, "infer", joint, "--margin", "1e-1")[0] == 0
+
+
 class TestOneIngestRule:
     SHIFTED = [[v * (1 - 9e-10) for v in (0.3, 0.7)], [v * (1 + 9e-10) for v in (0.3, 0.7)]]
 
@@ -798,6 +838,17 @@ class TestJsonWriter:
     def test_rejects_what_json_rejects(self):
         with pytest.raises(TypeError):
             _json_text({"a": {1, 2}})
+
+    @given(
+        marginal_families(max_n=8) | tied_and_tiny_families(max_n=8),
+        st.sampled_from(sorted(SOLVERS)),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_couple_writer_matches_reference(self, rows, solver, with_trace):
+        coupling, trace = SOLVERS[solver](coerce_marginals(rows))
+        payload = couple_payload(coupling, trace, with_trace)
+        assert _couple_text(coupling, trace, with_trace) == reference_json_text(payload)
 
 
 class TestDeterminism:

@@ -23,7 +23,7 @@ import pytest
 from minent import cli
 from minent.cli import _json_text, main
 
-from reference_cli import reference_json_text
+from reference_cli import couple_payload, reference_json_text
 from replay_golden import GOLDEN, expected, replay, write_inputs
 
 
@@ -46,14 +46,23 @@ def test_replays_byte_for_byte(workdir, case):
     "case", GOLDEN["cases"], ids=[" ".join(case["argv"]) for case in GOLDEN["cases"]]
 )
 def test_writer_matches_reference_on_payload(workdir, capsys, monkeypatch, case):
-    payloads = []
+    payloads, couple_runs = [], []
     monkeypatch.setattr(cli, "_emit", payloads.append)
+    write_couple = cli._couple_text
+
+    def record_couple(*run):
+        couple_runs.append(run)
+        return write_couple(*run)
+
+    monkeypatch.setattr(cli, "_couple_text", record_couple)
     monkeypatch.setattr(sys, "stdin", io.StringIO(case.get("stdin", "")))
     main(list(case["argv"]))
     capsys.readouterr()
-    assert len(payloads) == (case["stdout"] != "")
+    assert len(payloads) + len(couple_runs) == (case["stdout"] != "")
     for payload in payloads:
         assert _json_text(payload) == reference_json_text(payload)
+    for run in couple_runs:
+        assert write_couple(*run) == reference_json_text(couple_payload(*run))
 
 
 def test_covers_every_subcommand_and_solver():

@@ -1,10 +1,11 @@
-"""numpy stays off the import path of every command but ``generate``.
+"""numpy stays off the import path of every command.
 
-Importing numpy costs more than most of these commands' work, so only
-``generate --family random`` loads it (for ``default_rng``). The causal
-direction test (``minent.causality``) is pure Python, and ``import
-minent`` resolves its names on first access, so ``couple``, ``certify``
-and ``bound`` do not compile it. The golden replay script and the
+Importing numpy costs more than most of these commands' work.
+``generate --family random`` draws numpy's ``default_rng`` numbers in
+pure Python (``minent._random``), and the causal direction test
+(``minent.causality``) is pure Python too; ``import minent`` resolves
+the latter's names on first access, so ``couple``, ``certify`` and
+``bound`` do not compile it. The golden replay script and the
 back-substitution reference of ``certify`` need no numpy either, so
 interpreters without it can run them.
 """
@@ -61,6 +62,17 @@ def test_infer_leaves_numpy_out(tmp_path):
     assert done.stdout.count('"verdict"') == 2
 
 
+def test_generate_leaves_numpy_out():
+    done = run_python(
+        "import sys\n"
+        "from minent import cli\n"
+        "assert cli.main(['generate', '--family', 'random', '--n', '5', '--m', '3', '--seed', '7']) == 0\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.count('"marginals"') == 1
+
+
 def test_replay_and_certify_reference_run_without_numpy():
     tests = str(Path(__file__).resolve().parent)
     done = run_python(
@@ -73,10 +85,9 @@ def test_replay_and_certify_reference_run_without_numpy():
         "sys.exit(replay_golden.main())\n"
     )
     assert done.returncode == 0, done.stdout + done.stderr
-    assert "skipped (needs numpy): generate --family random --n 3 --m 3 --seed 7\n" in done.stdout
-    # every case but that one
+    assert "skipped" not in done.stdout
     cases = len(json.loads((Path(tests) / "golden_cli.json").read_text(encoding="utf-8"))["cases"])
-    assert done.stdout.endswith(f" {cases - 1} cases replayed, 0 mismatched\n")
+    assert done.stdout.endswith(f" {cases} cases replayed, 0 mismatched\n")
 
 
 def test_causality_names_load_on_first_access():
