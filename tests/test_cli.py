@@ -188,6 +188,76 @@ class TestCertify:
         assert json.loads(out)["local_optimum_certified"] is False
 
 
+def _renumber(steps, numbers):
+    for item, number in zip(steps, numbers):
+        item["iteration"] = number
+
+
+class TestOddRunFiles:
+    """What ``certify --trace-in`` makes of run files ``couple`` never writes.
+
+    The certificate is read from the trace's cells and masses in trace
+    order; ``iteration`` values only name steps in messages, and the
+    ``saturated`` pairs are read for their shape alone.
+    """
+
+    @pytest.mark.parametrize(
+        "doctor",
+        [
+            lambda doc: _renumber(doc["trace"], [10, 20, 30]),
+            lambda doc: _renumber(doc["trace"], [3, 2, 1]),
+            lambda doc: _renumber(doc["trace"], [5, 5, 5]),
+            lambda doc: _renumber(doc["trace"], [0, -4, 2**70]),
+            lambda doc: [item.update(saturated=[[2, 9], [7, 1], [0, 0]]) for item in doc["trace"]],
+            lambda doc: [item.update(saturated=[[1, 1], [1, 1]]) for item in doc["trace"]],
+            lambda doc: doc["entries"].reverse(),
+            lambda doc: doc["trace"].append({**doc["trace"][0], "iteration": 4, "mass": 0.0}),
+        ],
+        ids=["iterations-by-ten", "iterations-reversed", "iterations-repeated",
+             "iterations-out-of-range", "saturated-off-the-cells", "saturated-repeated",
+             "entries-reversed", "repeated-cell-with-zero-mass"],
+    )
+    def test_certifies_as_the_file_couple_wrote(self, tmp_path, capsys, doctor):
+        path = problem_file(tmp_path, [[0.6, 0.4], [0.5, 0.5]])
+        _, out, _ = run_cli(capsys, "couple", path, "--alg", "2", "--trace")
+        expected = run_cli(capsys, "certify", path, "--trace-in", write(tmp_path, "run.json", out))
+        doc = json.loads(out)
+        doctor(doc)
+        run_file = write(tmp_path, "odd.json", json.dumps(doc))
+        assert run_cli(capsys, "certify", path, "--trace-in", run_file) == expected
+        assert expected[0] == 0
+
+    @pytest.mark.parametrize("where", [0, 1, 3], ids=["first", "second", "last"])
+    def test_repeated_positive_cell_exit_3(self, tmp_path, capsys, where):
+        path = problem_file(tmp_path, [[0.6, 0.4], [0.5, 0.5]])
+        _, out, _ = run_cli(capsys, "couple", path, "--alg", "2", "--trace")
+        doc = json.loads(out)
+        doc["trace"].insert(where, dict(doc["trace"][0]))
+        run_file = write(tmp_path, "odd.json", json.dumps(doc))
+        reason = "trace does not match the coupling's entries"
+        assert run_cli(capsys, "certify", path, "--trace-in", run_file) == (
+            3, '{\n  "local_optimum_certified": false,\n  "reason": "%s"\n}\n' % reason, ""
+        )
+
+    def test_dependent_step_named_by_its_own_iteration(self, tmp_path, capsys):
+        # every cell of the 2x2 grid: the first step's slots are both used
+        # again later, and the message names it as the file numbers it
+        path = problem_file(tmp_path, [[0.5, 0.5], [0.5, 0.5]])
+        cells = [(1, 1), (1, 2), (2, 1), (2, 2)]
+        doc = {
+            "entries": [{"indices": list(cell), "mass": 0.25} for cell in cells],
+            "trace": [
+                {"iteration": number, "indices": list(cell), "mass": 0.25, "saturated": []}
+                for number, cell in zip((42, 17, 3, 8), cells)
+            ],
+        }
+        run_file = write(tmp_path, "odd.json", json.dumps(doc))
+        reason = "step 42 exhausts no slot that later steps leave alone; rows may be dependent"
+        assert run_cli(capsys, "certify", path, "--trace-in", run_file) == (
+            3, '{\n  "local_optimum_certified": false,\n  "reason": "%s"\n}\n' % reason, ""
+        )
+
+
 class TestBound:
     def test_oracle_tightness_zero_on_worked_instance(self, tmp_path, capsys):
         path = problem_file(tmp_path, [[0.6, 0.4], [0.5, 0.5]])
