@@ -27,6 +27,13 @@ witnesses at the cell's states)``, and rebuilding every stored mass from
 them checks the solve: each mass must come back within ``EPS_CERT`` of
 itself, relative to the mass.
 
+Certify reads the trace's record, its ``(cell, mass)`` pairs and the
+``iterations`` that name steps in messages, and never builds the
+trace's ``GreedyStep`` objects. A prototype whose certify read
+``steps`` from the record made the benchmark's ``small-corpus``
+workload 4 % slower, since every problem there is certified. The
+closed axes the record also keeps are never read.
+
 The solve runs in plain loops: one pass per row finds the owned slot
 and adds up the fixed witnesses, and the last use of each slot sits in
 one list per axis. In a traced pass of the benchmark's ``large``
@@ -45,7 +52,7 @@ import math
 from dataclasses import dataclass
 
 from .core import DimensionError, DomainError, SparseCoupling
-from .greedy import GreedyStep, GreedyTrace
+from .greedy import GreedyTrace
 
 # Residual tolerance, and relative mass-reconstruction tolerance, for
 # certificates. Looser than the marginal tolerances: masses near EPS_ZERO
@@ -107,13 +114,14 @@ class Certificate:
 
 
 def _trace_matches_coupling(
-    steps: tuple[GreedyStep, ...], coupling: SparseCoupling
+    positive: list[tuple[tuple[int, ...], float]], coupling: SparseCoupling
 ) -> bool:
-    if len(steps) != coupling.num_entries:
+    if len(positive) != coupling.num_entries:
         return False
-    for step in steps:
-        mass = coupling.entries.get(step.chosen_tuple)
-        if mass is None or abs(mass - step.mass) > 1e-12:
+    entries = coupling.entries
+    for tup, mass in positive:
+        stored = entries.get(tup)
+        if stored is None or abs(stored - mass) > 1e-12:
             return False
     return True
 
@@ -133,20 +141,21 @@ def certify_local_optimum(
     cell outside the coupling's shape, a step owns no slot (its row would
     depend on later rows), the system residual exceeds ``EPS_CERT``
     relative to the right-hand side, or any mass reconstructs off by more
-    than ``EPS_CERT`` times itself.
+    than ``EPS_CERT`` times itself. Messages name steps by the trace's
+    ``iterations``.
     """
-    positive = trace.positive_steps()
-    if len(positive) < len(trace.steps):
+    assignments = trace.assignments
+    positive = [pair for pair in assignments if pair[1] > 0.0]
+    if len(positive) < len(assignments):
         shape = coupling.cardinalities
-        for step in trace.steps:
-            if step.mass > 0.0:
+        for iteration, (tup, mass) in zip(trace.iterations, assignments):
+            if mass > 0.0:
                 continue
-            tup = step.chosen_tuple
-            if step.mass != 0.0 or len(tup) != len(shape) or not all(
+            if mass != 0.0 or len(tup) != len(shape) or not all(
                 1 <= state <= card for state, card in zip(tup, shape)
             ):
                 raise CertificationError(
-                    f"step {step.iteration} assigns {step.mass!r} to the cell "
+                    f"step {iteration} assigns {mass!r} to the cell "
                     f"{list(tup)}; a step off the coupling assigns 0.0 to a cell "
                     f"within {list(shape)}"
                 )
@@ -159,17 +168,17 @@ def certify_local_optimum(
         raise DimensionError("certification requires equal cardinalities per axis")
     n = cards.pop()
     m = coupling.num_vars
-    # Slots come from the tuples, never from the recorded saturated_axes,
+    # Slots come from the tuples, never from the trace's closed axes,
     # so a saved trace cannot claim an exhausted slot it does not have.
     # last_use[axis][state] is the last row to use that slot.
     last_use = [[-1] * (n + 1) for _ in range(m)]
-    for row, step in enumerate(positive):
-        for last, state in zip(last_use, step.chosen_tuple):
+    for row, (tup, _) in enumerate(positive):
+        for last, state in zip(last_use, tup):
             last[state] = row
-    rhs = [math.log2(step.mass) + 1.0 for step in positive]
+    rhs = [math.log2(mass) + 1.0 for _, mass in positive]
     u = [[0.0] * n for _ in range(m)]
     for row in range(len(positive) - 1, -1, -1):
-        tup = positive[row].chosen_tuple
+        tup = positive[row][0]
         # the first axis whose slot this row used last is owned; the others
         # are added in axis order from int 0
         owned = -1
@@ -180,15 +189,16 @@ def certify_local_optimum(
             else:
                 fixed += u[axis][state - 1]
         if owned < 0:
+            numbers = [i for i, (_, mass) in zip(trace.iterations, assignments) if mass > 0.0]
             raise CertificationError(
-                f"step {positive[row].iteration} exhausts no slot that later "
+                f"step {numbers[row]} exhausts no slot that later "
                 "steps leave alone; rows may be dependent"
             )
         u[owned][tup[owned] - 1] = rhs[row] - fixed
     sums = []
-    for step in positive:
+    for tup, _ in positive:
         total = 0
-        for vec, state in zip(u, step.chosen_tuple):
+        for vec, state in zip(u, tup):
             total += vec[state - 1]
         sums.append(total)
     raw_residual = math.sqrt(math.fsum([(total - b) ** 2 for total, b in zip(sums, rhs)]))
@@ -201,8 +211,8 @@ def certify_local_optimum(
     worst = 0.0
     worst_relative = 0.0
     entries = coupling.entries
-    for step, total in zip(positive, sums):
-        mass = entries[step.chosen_tuple]
+    for (tup, _), total in zip(positive, sums):
+        mass = entries[tup]
         error = abs(2.0 ** (total - 1.0) - mass)
         relative = error / mass
         if error > worst:

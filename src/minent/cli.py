@@ -7,7 +7,9 @@ against the exact oracle), ``infer`` (causal direction of a joint), and
 
 Problem files are JSON ``{"marginals": [[...], ...]}`` or CSV with one
 marginal per row. All output is JSON on stdout with floats capped at 12
-significant digits, so identical invocations are byte-identical.
+significant digits, so identical invocations are byte-identical; a
+coupling mass that 12 digits would round down to ``EPS_ZERO`` keeps
+every digit, so ``certify --trace-in`` reads back what ``couple`` wrote.
 
 Exit codes: 0 success, 2 input error, 3 certification failure, 4 size cap
 exceeded.
@@ -28,6 +30,7 @@ from .bounds import bound_report, special_family
 from .certify import CertificationError, certify_local_optimum
 from .core import (
     EPS_MARG,
+    EPS_ZERO,
     DimensionError,
     DomainError,
     Marginal,
@@ -36,7 +39,7 @@ from .core import (
     extended_entropy,
     marginalize,
 )
-from .greedy import SOLVERS, GreedyStep, GreedyTrace
+from .greedy import SOLVERS, GreedyTrace
 from .oracle import SizeCapError, exact_min_entropy_2var
 
 
@@ -48,6 +51,9 @@ def _float_text(value: float) -> str:
     if value != value:
         return "NaN"
     return "Infinity" if value > 0.0 else "-Infinity"
+
+
+_EPS_ZERO_TEXT = _float_text(EPS_ZERO)
 
 
 def _json_text(obj, indent: str = "\n") -> str:
@@ -227,19 +233,31 @@ _PAIR = "[\n          %d,\n          %d\n        ]"
 _INDEX_SEP = ",\n        "
 
 
+def _mass_text(mass: float) -> str:
+    """A cell's mass as ``_float_text`` writes it, unless 12 digits would
+    round a mass above ``EPS_ZERO`` down to it: such a mass keeps every
+    digit, so the run file reads back as the coupling it came from."""
+    text = _float_text(mass)
+    if text == _EPS_ZERO_TEXT and mass > EPS_ZERO:
+        return float.__repr__(mass)
+    return text
+
+
 def _couple_text(coupling: SparseCoupling, trace: GreedyTrace, with_trace: bool) -> str:
     """``couple``'s output: what ``_json_text`` writes for its payload.
 
     The entries and the trace's steps are laid out from fixed templates,
     their indices joined as ints and their masses written by
-    ``_float_text``; the scalar fields go through ``_json_text``. The
-    payload it stands for is built in ``tests/reference_cli.py``.
+    ``_mass_text``; a step's saturated pairs are its closed axes in
+    increasing order, each with the cell's state on that axis. The scalar
+    fields go through ``_json_text``. The payload it stands for is built
+    in ``tests/reference_cli.py``.
     """
     entries = [
-        _ENTRY % (_INDEX_SEP.join(map(str, tup)), _float_text(mass))
+        _ENTRY % (_INDEX_SEP.join(map(str, tup)), _mass_text(mass))
         for tup, mass in coupling.assignment_order
     ]
-    fields = {"entropy_bits": extended_entropy(coupling), "steps": len(trace.steps)}
+    fields = {"entropy_bits": extended_entropy(coupling), "steps": len(trace.assignments)}
     if trace.phase_boundary is not None:
         fields["phase_boundary"] = trace.phase_boundary
     parts = ['"entries": ' + _list_text(entries, "\n  ")]
@@ -247,12 +265,14 @@ def _couple_text(coupling: SparseCoupling, trace: GreedyTrace, with_trace: bool)
     if with_trace:
         steps = [
             _STEP % (
-                step.iteration,
-                _INDEX_SEP.join(map(str, step.chosen_tuple)),
-                _float_text(step.mass),
-                _list_text([_PAIR % pair for pair in sorted(step.saturated_axes)], "\n      "),
+                iteration,
+                _INDEX_SEP.join(map(str, tup)),
+                _mass_text(mass),
+                _list_text([_PAIR % pair for pair in pairs], "\n      "),
             )
-            for step in trace.steps
+            for iteration, (tup, mass), pairs in zip(
+                trace.iterations, trace.assignments, trace.saturated_pairs()
+            )
         ]
         parts.append('"trace": ' + _list_text(steps, "\n  "))
     return "{\n  " + ",\n  ".join(parts) + "\n}"
@@ -285,17 +305,15 @@ def _load_run_file(path: str, marginals: tuple[Marginal, ...]):
         if tup in entries:
             raise DomainError(f"run file 'entries' item {k} repeats the cell {list(tup)}")
         entries[tup] = float(item["mass"])
-    steps = tuple(
-        GreedyStep(
-            iteration=int(item["iteration"]),
-            chosen_tuple=tuple(int(i) for i in item["indices"]),
-            mass=float(item["mass"]),
-            saturated_axes=frozenset(
-                (int(a), int(s)) for a, s in item.get("saturated", [])
-            ),
+    steps = [
+        (
+            int(item["iteration"]),
+            tuple(int(i) for i in item["indices"]),
+            float(item["mass"]),
+            [(int(a), int(s)) for a, s in item.get("saturated", [])],
         )
         for item in doc["trace"]
-    )
+    ]
     boundary = doc.get("phase_boundary")
     if boundary is not None:
         _require_shape(boundary, int, "run file 'phase_boundary'")
@@ -304,7 +322,7 @@ def _load_run_file(path: str, marginals: tuple[Marginal, ...]):
         coupling = SparseCoupling(m, (n,) * m, entries)
     except (DomainError, DimensionError) as exc:
         raise CertificationError(f"run file does not encode a coupling: {exc}")
-    return coupling, GreedyTrace(steps, boundary)
+    return coupling, GreedyTrace.from_steps(steps, boundary)
 
 
 def _check_feasible(coupling: SparseCoupling, marginals: tuple[Marginal, ...]) -> None:

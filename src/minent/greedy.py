@@ -18,6 +18,19 @@ marginal's current top out of its heap: a reduced top goes back with
 ``heappushpop``, which hands over the new top in the same call. Cost:
 O(n*m*log n + steps*m*log n) with ``steps <= n*m - m + 1``.
 
+A step leaves two things behind: its ``(cell, mass)`` pair and one int
+whose bit ``k`` says the step exhausted its state on axis ``k + 1``. An
+update-loop pair is the coupling's own ``assignment_order`` item, so that
+loop keeps one int per step beyond the coupling; the sweep also keeps its
+zero-mass rounds. :class:`GreedyTrace` holds this record and builds its
+:class:`GreedyStep` objects, each with a frozenset of saturated pairs,
+in one pass the first time ``steps`` is read. Certify, the oracle,
+``bound``, ``infer`` and ``couple`` without ``--trace`` never read them.
+Against solvers that built every step in the loop, solving took
+0.67-0.87x (in process, alternating, n = 2000 with m = 2, n = 700 with
+m = 4 and n = 300 with m = 10, 2-core machine), and solving then
+reading ``steps`` 0.94-1.10x.
+
 Per step, both solvers together went from 11.2 to 7.8 us in a traced
 pass of the benchmark's ``large`` workload (seed 1, 2-core machine),
 from the held-out tops and from steps built as a ``NamedTuple`` through
@@ -33,18 +46,20 @@ kept:
   top in 0 of 3,989 steps at n = 2000, m = 2;
 - a C-level fast path for ``SparseCoupling`` validation: 1.09x at
   n = 2000, m = 2 but 0.91x at n = 4, m = 3, and a second construction
-  path besides.
-
-Both solvers record a full :class:`GreedyTrace`; the trace carries the
-structural information the ``certify`` module turns into a
-local-optimality certificate.
+  path besides;
+- a sorted list of each marginal's untouched states beside a heap of
+  its reduced tops, in place of one heap: 0.82-1.01x at n = 5-2000 and
+  m = 2-10;
+- recording the closed axes as a flat list of axes with per-step end
+  offsets instead of one bitmask per step: no difference beyond noise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heapify, heappop, heappushpop
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core import EPS_ZERO, Marginal, SparseCoupling, coerce_marginals, sorted_sweep
 
@@ -54,9 +69,7 @@ class GreedyStep(NamedTuple):
 
     ``saturated_axes`` holds the (axis, state) pairs, 1-based, whose
     residual mass is exactly zero after this step. Two-phase runs may
-    record zero-mass steps; those never enter the coupling itself. The
-    solvers build steps with ``tuple.__new__``, which skips the keyword
-    handling of the generated constructor.
+    record zero-mass steps; those never enter the coupling itself.
     """
 
     iteration: int
@@ -67,15 +80,72 @@ class GreedyStep(NamedTuple):
 
 @dataclass(frozen=True)
 class GreedyTrace:
-    """The ordered steps of one solver run.
+    """The ordered steps of one solver run, as the record the solver keeps.
 
+    ``assignments`` holds each step's ``(cell, mass)`` pair, the cell a
+    1-based index tuple; the update loop's pairs are the coupling's own
+    ``assignment_order`` items. Bit ``k - 1`` of ``closed[t]`` is set when
+    step t exhausted its cell's state on axis k. ``iterations`` numbers
+    the steps: 1 to k for a solver run, the file's own numbers for a
+    trace read back by ``minent certify --trace-in``.
     ``phase_boundary`` is the 1-based index of the first second-phase step
     and is set only by the two-phase solver; when the second phase is
     empty it points just past the last step.
+
+    ``steps`` builds one :class:`GreedyStep` per step from the record on
+    first read and keeps them; nothing in the library reads it.
     """
 
-    steps: tuple[GreedyStep, ...]
+    assignments: tuple[tuple[tuple[int, ...], float], ...]
+    closed: tuple[int, ...]
+    iterations: tuple[int, ...]
     phase_boundary: int | None = None
+
+    @classmethod
+    def from_steps(
+        cls,
+        steps: Iterable[tuple[int, tuple[int, ...], float, Iterable[tuple[int, int]]]],
+        phase_boundary: int | None = None,
+    ) -> GreedyTrace:
+        """The trace of ``(iteration, cell, mass, saturated pairs)`` items,
+        such as :class:`GreedyStep` objects or the steps of a run file.
+
+        The record takes a closed axis's state from the cell, so a pair
+        counts only where it names the cell's own state on an axis.
+        """
+        iterations, assignments, closed = [], [], []
+        for iteration, cell, mass, pairs in steps:
+            mask = 0
+            for axis, state in pairs:
+                if 1 <= axis <= len(cell) and cell[axis - 1] == state:
+                    mask |= 1 << (axis - 1)
+            iterations.append(iteration)
+            assignments.append((cell, mass))
+            closed.append(mask)
+        return cls(tuple(assignments), tuple(closed), tuple(iterations), phase_boundary)
+
+    def saturated_pairs(self) -> Iterator[list[tuple[int, int]]]:
+        """Each step's exhausted (axis, state) pairs, 1-based, in axis order."""
+        slots = {
+            mask: [(k + 1, k) for k in range(mask.bit_length()) if mask >> k & 1]
+            for mask in set(self.closed)
+        }
+        for (cell, _), mask in zip(self.assignments, self.closed):
+            pairs = []
+            for axis, k in slots[mask]:
+                pairs.append((axis, cell[k]))
+            yield pairs
+
+    @cached_property
+    def steps(self) -> tuple[GreedyStep, ...]:
+        # tuple.__new__ skips the keyword handling of the generated constructor
+        new = tuple.__new__
+        return tuple([
+            new(GreedyStep, (iteration, cell, mass, frozenset(pairs)))
+            for iteration, (cell, mass), pairs in zip(
+                self.iterations, self.assignments, self.saturated_pairs()
+            )
+        ])
 
     def positive_steps(self) -> tuple[GreedyStep, ...]:
         return tuple([s for s in self.steps if s.mass > 0.0])
@@ -84,34 +154,36 @@ class GreedyTrace:
 def _sweep(
     resid: list[list[float]],
     entries: dict[tuple[int, ...], float],
-    steps: list[GreedyStep],
-) -> None:
-    """Phase one: round t assigns the minimum of every marginal's t-th largest mass."""
+    closed: list[int],
+) -> list[tuple[tuple[int, ...], float]]:
+    """Phase one: round t assigns the minimum of every marginal's t-th largest mass.
+
+    Returns every round's ``(cell, mass)`` pair, zero-mass rounds included.
+    """
     # no state changes before its round, so the masses can be read up front
     ranks, masses = sorted_sweep(resid)
-    cells = zip(*[[j + 1 for j in rank] for rank in ranks])
-    for tup, mass in zip(cells, masses):
+    pairs = list(zip(zip(*[[j + 1 for j in rank] for rank in ranks]), masses))
+    for tup, mass in pairs:
         if mass > 0.0:
             if tup in entries:
                 raise RuntimeError(f"greedy solver revisited cell {tup}")
             entries[tup] = mass
-        saturated = []
-        for axis, (row, state) in enumerate(zip(resid, tup), start=1):
+        mask = 0
+        for k, (row, state) in enumerate(zip(resid, tup)):
             left = row[state - 1] - mass
             if left <= EPS_ZERO:
                 row[state - 1] = 0.0
-                saturated.append((axis, state))
+                mask |= 1 << k
             else:
                 row[state - 1] = left
-        steps.append(
-            tuple.__new__(GreedyStep, (len(steps) + 1, tup, mass, frozenset(saturated)))
-        )
+        closed.append(mask)
+    return pairs
 
 
 def _update_until_drained(
     resid: list[list[float]],
     entries: dict[tuple[int, ...], float],
-    steps: list[GreedyStep],
+    closed: list[int],
 ) -> None:
     """Run pick-max/assign-min rounds until some marginal is exhausted.
 
@@ -134,7 +206,7 @@ def _update_until_drained(
     limit = n * m - m + 1
     drained = False
     while not drained:
-        if len(steps) >= limit:
+        if len(closed) >= limit:
             raise RuntimeError(
                 f"greedy solver exceeded the {limit}-step bound for n={n}, m={m}"
             )
@@ -143,11 +215,11 @@ def _update_until_drained(
         if tup in entries:
             raise RuntimeError(f"greedy solver revisited cell {tup}")
         entries[tup] = mass
-        saturated = []
+        mask = 0
         for k in axes:
             left = -negs[k] - mass
             if left <= EPS_ZERO:
-                saturated.append((k + 1, states[k]))
+                mask |= 1 << k
                 heap = heaps[k]
                 if heap:
                     negs[k], states[k] = heappop(heap)
@@ -155,9 +227,7 @@ def _update_until_drained(
                     drained = True
             else:
                 negs[k], states[k] = heappushpop(heaps[k], (-left, states[k]))
-        steps.append(
-            tuple.__new__(GreedyStep, (len(steps) + 1, tup, mass, frozenset(saturated)))
-        )
+        closed.append(mask)
 
 
 def _solve(
@@ -171,14 +241,19 @@ def _solve(
     ]
     m, n = len(resid), len(resid[0])
     entries: dict[tuple[int, ...], float] = {}
-    steps: list[GreedyStep] = []
-    if sweep:
-        _sweep(resid, entries, steps)
-    boundary = len(steps) + 1 if sweep else None
-    _update_until_drained(resid, entries, steps)
+    closed: list[int] = []
+    swept = _sweep(resid, entries, closed) if sweep else []
+    boundary = len(closed) + 1 if sweep else None
+    _update_until_drained(resid, entries, closed)
     # entries keeps insertion order, which is the assignment order
     coupling = SparseCoupling(m, (n,) * m, entries)
-    return coupling, GreedyTrace(tuple(steps), boundary)
+    order = coupling.assignment_order
+    if swept:
+        # every sweep round, zero-mass ones included, then the update loop's
+        updates = len(closed) - len(swept)
+        order = tuple(swept) + order[len(order) - updates :]
+    trace = GreedyTrace(order, tuple(closed), tuple(range(1, len(closed) + 1)), boundary)
+    return coupling, trace
 
 
 def greedy_coupling(

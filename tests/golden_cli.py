@@ -59,6 +59,8 @@ def build_inputs() -> dict[str, str]:
         "dust.json": _marginals(
             [[0.5, 0.5 - 5e-12, 5e-12], [0.25, 0.75 - 3e-13, 3e-13]]
         ),
+        # a cell mass that 12 significant digits would round down to EPS_ZERO
+        "dust_band.json": _marginals([[0.5, 0.499999999999, 1.0000000000004e-12]] * 2),
         "n1.json": _marginals([[1.0], [1.0]]),
         "n6.json": _marginals([[1.0 / 6] * 6] * 2),
         "negzero.json": '{"marginals": [[0.5, 0.5, -0.0], [0.25, 0.75, 0.0]]}',
@@ -97,6 +99,7 @@ CASES: list[tuple[list[str], dict]] = [
     (["couple", "random_4x6.json", "--alg", "2"], {}),
     (["couple", "tied.json", "--alg", "1", "--trace"], {}),
     (["couple", "dust.json", "--alg", "2", "--trace"], {}),
+    (["couple", "dust_band.json", "--alg", "1", "--trace"], {"save": "run_band.json"}),
     (["couple", "negzero.json", "--alg", "1"], {}),
     (["couple", "negzero.csv", "--alg", "2", "--trace"], {}),
     (["certify", "worked.json", "--alg", "1"], {}),
@@ -106,6 +109,7 @@ CASES: list[tuple[list[str], dict]] = [
     (["certify", "worked.json", "--trace-in", "run_alg1.json"], {}),
     (["certify", "tied.json", "--alg", "2"], {}),
     (["certify", "dust.json", "--alg", "1"], {}),
+    (["certify", "dust_band.json", "--trace-in", "run_band.json"], {}),
     (["bound", "worked.json"], {}),
     (["bound", "random_4x6.json", "--alg", "1"], {}),
     (["bound", "worked.json", "--alg", "1", "--oracle"], {}),

@@ -7,21 +7,33 @@ out. Tests require the two to agree byte for byte.
 
 ``couple`` writes its entries and trace from fixed templates
 (``cli._couple_text``); ``couple_payload`` builds the payload those
-templates stand for, as ``couple`` built it before.
+templates stand for, as ``couple`` built it before, from the steps of
+the trace. A mass above ``EPS_ZERO`` that 12 digits would round down to
+it is written in full, so it goes into the payload as an ``_Unrounded``.
 """
 
 import json
 
-from minent import extended_entropy
+from minent import EPS_ZERO, extended_entropy
+
+
+class _Unrounded(float):
+    """A float ``_clean`` passes through with every digit."""
 
 
 def _round12(value: float) -> float:
     return float(f"{value:.12g}")
 
 
+def _mass(mass: float) -> float:
+    return _Unrounded(mass) if _round12(mass) <= EPS_ZERO < mass else mass
+
+
 def _clean(obj):
     if isinstance(obj, bool):
         return obj
+    if isinstance(obj, _Unrounded):
+        return float(obj)
     if isinstance(obj, float):
         return _round12(obj)
     if isinstance(obj, dict):
@@ -37,7 +49,7 @@ def reference_json_text(obj) -> str:
 
 def _entries_payload(coupling) -> list[dict]:
     return [
-        {"indices": list(tup), "mass": mass}
+        {"indices": list(tup), "mass": _mass(mass)}
         for tup, mass in coupling.assignment_order
     ]
 
@@ -47,7 +59,7 @@ def _trace_payload(trace) -> list[dict]:
         {
             "iteration": step.iteration,
             "indices": list(step.chosen_tuple),
-            "mass": step.mass,
+            "mass": _mass(step.mass),
             "saturated": [list(pair) for pair in sorted(step.saturated_axes)],
         }
         for step in trace.steps

@@ -8,16 +8,25 @@ drops to ``EPS_ZERO``. Tests require the fast path to reproduce its
 traces, saturations, masses and assignment order exactly. Input is
 validated by the library's own ``coerce_marginals``, so both paths accept
 and reject the same marginal sets.
+
+The reference solvers keep the ``GreedyStep`` objects they build in a
+``ReferenceTrace``, so a comparison reads them as built rather than
+through the record a ``GreedyTrace`` keeps.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from minent import EPS_ZERO, GreedyStep, GreedyTrace, Marginal, SparseCoupling
+from minent import EPS_ZERO, GreedyStep, Marginal, SparseCoupling
 from minent.core import coerce_marginals
+
+
+class ReferenceTrace(NamedTuple):
+    steps: tuple[GreedyStep, ...]
+    phase_boundary: int | None
 
 
 def _coerce_marginals(marginals: Sequence[Marginal | Iterable[float]]) -> np.ndarray:
@@ -66,7 +75,7 @@ def _update_until_drained(
 
 def greedy_coupling(
     marginals: Sequence[Marginal | Iterable[float]],
-) -> tuple[SparseCoupling, GreedyTrace]:
+) -> tuple[SparseCoupling, ReferenceTrace]:
     resid = _coerce_marginals(marginals)
     m, n = resid.shape
     entries: dict[tuple[int, ...], float] = {}
@@ -74,12 +83,12 @@ def greedy_coupling(
     steps: list[GreedyStep] = []
     _update_until_drained(resid, entries, order, steps)
     coupling = SparseCoupling(m, (n,) * m, entries, tuple(order))
-    return coupling, GreedyTrace(tuple(steps), None)
+    return coupling, ReferenceTrace(tuple(steps), None)
 
 
 def greedy_coupling_two_phase(
     marginals: Sequence[Marginal | Iterable[float]],
-) -> tuple[SparseCoupling, GreedyTrace]:
+) -> tuple[SparseCoupling, ReferenceTrace]:
     resid = _coerce_marginals(marginals)
     m, n = resid.shape
     entries: dict[tuple[int, ...], float] = {}
@@ -111,4 +120,4 @@ def greedy_coupling_two_phase(
             f"two-phase solver exceeded the {n * m - m + 1}-step bound"
         )
     coupling = SparseCoupling(m, (n,) * m, entries, tuple(order))
-    return coupling, GreedyTrace(tuple(steps), boundary)
+    return coupling, ReferenceTrace(tuple(steps), boundary)

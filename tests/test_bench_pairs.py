@@ -4,6 +4,8 @@ No benchmark runs here: each result is the dict ``perfbench/run.py``
 prints as its last line.
 """
 
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -87,3 +89,49 @@ def test_plan_defaults_to_every_workload():
         ["oracle", "cli"],
     )
     assert args.plan == {"cli": 3, "oracle": 10}
+
+
+LAYER_METRICS = [
+    {"name": "greedy.alg1_s", "unit": "s", "better": "lower"},
+    {"name": "greedy.us_per_step", "unit": "us", "better": "lower"},
+    {"name": "certify.certify_s", "unit": "s", "better": "lower"},
+]
+
+
+def traced(values):
+    return {"metrics": {k: {"value": v, "unit": "s"} for k, v in values.items()}}
+
+
+def test_layers_pair_both_sides_of_each_named_metric():
+    parent = traced({"greedy.alg1_s": 0.0123456789, "greedy.us_per_step": 7.8, "setup_s": 0.3})
+    change = traced({"greedy.alg1_s": 0.01, "greedy.us_per_step": 5.25, "certify.certify_s": 0.2})
+    # setup_s is no per-layer metric; certify.certify_s is missing on one side
+    assert bench_pairs.layers(parent, change, LAYER_METRICS) == {
+        "greedy.alg1_s": {"parent": 0.0123457, "change": 0.01, "unit": "s"},
+        "greedy.us_per_step": {"parent": 7.8, "change": 5.25, "unit": "us"},
+    }
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_run_once_asks_for_the_trace_and_reads_its_detail_file(tmp_path, monkeypatch, trace):
+    calls = []
+    line = {"correct": True, "attempted": 1, "failed": 0, "metrics": {}}
+
+    def fake_run(argv, **kwargs):
+        calls.append((argv, kwargs["cwd"]))
+        return subprocess.CompletedProcess(argv, 0, stdout="report\n" + json.dumps(line) + "\n")
+
+    out = tmp_path / "perfbench" / "out"
+    out.mkdir(parents=True)
+    detail = out / f"result-large-seed3-trace{trace}.json"
+    detail.write_text(json.dumps({"metadata": {"nproc": 2}}), encoding="utf-8")
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    result = bench_pairs.run_once(tmp_path, ["python3", "perfbench/run.py"], "large", 3, 20, trace=trace)
+    assert result == {**line, "machine": {"nproc": 2}}
+    (argv, cwd), = calls
+    assert cwd == tmp_path
+    assert argv[0] == sys.executable
+    assert argv[1:] == [
+        "perfbench/run.py", "--workload", "large", "--seed", "3", "--seconds", "20",
+        "--trace", str(trace),
+    ]

@@ -163,13 +163,13 @@ class TestCertifyLocalOptimum:
             victim.iteration, victim.chosen_tuple, 0.35, victim.saturated_axes
         )
         with pytest.raises(CertificationError):
-            certify_local_optimum(coupling, GreedyTrace(tuple(doctored)))
+            certify_local_optimum(coupling, GreedyTrace.from_steps(tuple(doctored)))
 
     def test_trace_without_exhausted_slots_fails(self):
         # all four cells occupied: every column sees a later 1
         entries = {(1, 1): 0.25, (2, 2): 0.25, (1, 2): 0.25, (2, 1): 0.25}
         coupling = SparseCoupling(2, (2, 2), entries)
-        trace = GreedyTrace(
+        trace = GreedyTrace.from_steps(
             tuple(
                 step(k + 1, tup, mass)
                 for k, (tup, mass) in enumerate(entries.items())
@@ -180,13 +180,13 @@ class TestCertifyLocalOptimum:
 
     def test_trace_with_fewer_steps_than_entries_fails(self):
         coupling = SparseCoupling(2, (2, 2), {(1, 1): 0.5, (2, 2): 0.5})
-        trace = GreedyTrace((step(1, (1, 1), 0.5),))
+        trace = GreedyTrace.from_steps((step(1, (1, 1), 0.5),))
         with pytest.raises(CertificationError, match="does not match"):
             certify_local_optimum(coupling, trace)
 
     def test_unequal_cardinalities_rejected(self):
         coupling = SparseCoupling(2, (2, 3), {(1, 1): 1.0})
-        trace = GreedyTrace((step(1, (1, 1), 1.0),))
+        trace = GreedyTrace.from_steps((step(1, (1, 1), 1.0),))
         with pytest.raises(DimensionError, match="equal cardinalities"):
             certify_local_optimum(coupling, trace)
 
@@ -204,7 +204,7 @@ class TestCertifyLocalOptimum:
     )
     def test_step_off_the_coupling_needs_zero_mass_in_shape(self, tup, mass):
         coupling, trace = greedy_coupling([[0.6, 0.4], [0.5, 0.5]])
-        doctored = GreedyTrace(trace.steps + (step(7, tup, mass),))
+        doctored = GreedyTrace.from_steps(trace.steps + (step(7, tup, mass),))
         message = f"^step 7 assigns {re.escape(repr(mass))} to the cell {re.escape(str(list(tup)))}; "
         with pytest.raises(CertificationError, match=message):
             certify_local_optimum(coupling, doctored)
@@ -212,7 +212,7 @@ class TestCertifyLocalOptimum:
     def test_zero_mass_steps_in_shape_keep_the_certificate(self):
         coupling, trace = greedy_coupling([[0.6, 0.4], [0.5, 0.5]])
         extra = (step(4, (2, 2), 0.0), step(5, (1, 1), -0.0))
-        doctored = GreedyTrace(extra[:1] + trace.steps + extra[1:])
+        doctored = GreedyTrace.from_steps(extra[:1] + trace.steps + extra[1:])
         assert certify_local_optimum(coupling, doctored) == certify_local_optimum(coupling, trace)
 
     @pytest.mark.parametrize("solver", SOLVERS)
@@ -291,7 +291,7 @@ class TestAgainstDenseReference:
         coupling = SparseCoupling(2, (2, 2), entries)
         traced = dict(entries)
         traced[(2, 1)] = 3.9e-12
-        trace = GreedyTrace(
+        trace = GreedyTrace.from_steps(
             tuple(step(k + 1, tup, mass) for k, (tup, mass) in enumerate(traced.items()))
         )
         with pytest.raises(CertificationError, match="reconstruction") as info:
@@ -327,8 +327,8 @@ def certify_outcome(certify, coupling, trace):
     )
 
 
-def _trace_of(entries):
-    return GreedyTrace(
+def _trace_of_entries(entries):
+    return GreedyTrace.from_steps(
         tuple(step(k + 1, tup, mass) for k, (tup, mass) in enumerate(entries.items()))
     )
 
@@ -337,18 +337,18 @@ def _doctored_mass():
     coupling, trace = greedy_coupling([[0.6, 0.4], [0.5, 0.5]])
     steps = list(trace.steps)
     steps[1] = steps[1]._replace(mass=0.35)
-    return coupling, GreedyTrace(tuple(steps))
+    return coupling, GreedyTrace.from_steps(tuple(steps))
 
 
 def _doctored_no_owned_slot():
     # all four cells occupied: every row's slots are used again later
     entries = {(1, 1): 0.25, (2, 2): 0.25, (1, 2): 0.25, (2, 1): 0.25}
-    return SparseCoupling(2, (2, 2), entries), _trace_of(entries)
+    return SparseCoupling(2, (2, 2), entries), _trace_of_entries(entries)
 
 
 def _doctored_no_positive_step():
     coupling, trace = greedy_coupling([[0.6, 0.4], [0.5, 0.5]])
-    return coupling, GreedyTrace(tuple(s._replace(mass=0.0) for s in trace.steps))
+    return coupling, GreedyTrace.from_steps(tuple(s._replace(mass=0.0) for s in trace.steps))
 
 
 def _doctored_reconstruction():
@@ -356,7 +356,7 @@ def _doctored_reconstruction():
     entries = {(1, 1): 0.5, (2, 2): 0.5 - 3e-12, (2, 1): 3e-12}
     traced = dict(entries)
     traced[(2, 1)] = 3.9e-12
-    return SparseCoupling(2, (2, 2), entries), _trace_of(traced)
+    return SparseCoupling(2, (2, 2), entries), _trace_of_entries(traced)
 
 
 class TestAgainstGeneratorReference:
@@ -402,7 +402,7 @@ class TestAgainstGeneratorReference:
         steps = list(trace.steps)
         k = victim % len(steps)
         steps[k] = steps[k]._replace(mass=steps[k].mass * factor)
-        doctored = GreedyTrace(tuple(steps), trace.phase_boundary)
+        doctored = GreedyTrace.from_steps(tuple(steps), trace.phase_boundary)
         fast = certify_outcome(certify_local_optimum, coupling, doctored)
         assert fast == certify_outcome(reference_certify.certify_local_optimum, coupling, doctored)
 

@@ -1,12 +1,16 @@
+import contextlib
+import io
 import json
 import math
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from minent import Marginal, SparseCoupling, marginalize
+from minent import EPS_MARG, EPS_ZERO, Marginal, SparseCoupling, marginalize
 from minent.cli import _couple_text, _is_float, _json_text, main
 from minent.core import coerce_marginals
 from minent.greedy import SOLVERS
@@ -877,6 +881,74 @@ class TestMalformedShapes:
         as_floats = write(tmp_path, "floats.json", json.dumps(doc))
         assert run_cli(capsys, "certify", path, "--trace-in", as_floats) == expected
         assert expected[0] == 0
+
+
+# masses above EPS_ZERO that 12 significant digits round down to it
+DUST_BAND = st.floats(
+    min_value=EPS_ZERO, max_value=1.000000000005e-12, exclude_min=True, exclude_max=True
+)
+
+
+@st.composite
+def dust_band_families(draw):
+    """Marginals sharing a state whose mass lies in ``DUST_BAND``.
+
+    Some sets repeat one marginal (ties everywhere), some shift one
+    marginal's total by up to 0.6 * EPS_MARG, across the ingest limit of
+    EPS_MARG / 2, and some hold a NaN or an infinity.
+    """
+    m = draw(st.integers(min_value=2, max_value=4))
+    n = draw(st.integers(min_value=2, max_value=6))
+    dust = draw(DUST_BAND)
+    where = draw(st.integers(min_value=0, max_value=n - 1))
+    repeat = draw(st.booleans())
+    rows = []
+    for _ in range(m):
+        if repeat and rows:
+            rows.append(list(rows[0]))
+            continue
+        raw = draw(st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=n - 1, max_size=n - 1))
+        scale = (1.0 - dust) / math.fsum(raw)
+        row = [v * scale for v in raw]
+        row.insert(where, dust)
+        rows.append(row)
+    shift = draw(st.one_of(st.just(0.0), st.floats(-0.6 * EPS_MARG, 0.6 * EPS_MARG)))
+    rows[-1] = [v * (1.0 + shift) for v in rows[-1]]
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        rows[0][draw(st.integers(min_value=0, max_value=n - 1))] = draw(
+            st.sampled_from([math.nan, math.inf, -math.inf])
+        )
+    return rows
+
+
+def _exit_code(argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+class TestCoupleToCertify:
+    """Every command accepts what ``couple`` accepts, or all reject it."""
+
+    @pytest.mark.parametrize("alg", ["1", "2"])
+    @given(rows=dust_band_families())
+    @example(rows=[[0.5, 0.499999999999, 1.0000000000004e-12]] * 2)
+    @settings(max_examples=150, deadline=None)
+    def test_run_file_certifies_or_every_command_exits_2(self, alg, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            problem = Path(tmp) / "problem.json"
+            problem.write_text(json.dumps({"marginals": rows}), encoding="utf-8")
+            code, out = _exit_code(["couple", str(problem), "--alg", alg, "--trace"])
+            if code == 2:
+                for argv in (["certify", str(problem)], ["bound", str(problem)]):
+                    assert _exit_code(argv + ["--alg", alg])[0] == 2
+                return
+            assert code == 0
+            run = Path(tmp) / "run.json"
+            run.write_text(out, encoding="utf-8")
+            assert _exit_code(["certify", str(problem), "--trace-in", str(run)])[0] == 0
+            assert _exit_code(["certify", str(problem), "--alg", alg])[0] == 0
+            assert _exit_code(["bound", str(problem), "--alg", alg])[0] == 0
 
 
 json_floats = st.floats() | st.sampled_from(

@@ -19,7 +19,10 @@ For each workload and end-to-end metric the file holds both sides'
 medians and quartiles, and how many pairs the change won, where ties
 count for neither side. It also holds each side's failed count and
 every pair with a failure; ``parent`` and ``change`` are the runs of
-the median seed.
+the median seed. After its pairs, each workload runs once per side with
+``--trace 1`` on seed 1, parent first, and ``per_layer`` holds both
+sides' values of every per-layer metric ``BENCHMARK.json`` names. One
+traced run per side sizes a layer's change; it is no pair statistic.
 
 Needs only the standard library and git.
 """
@@ -59,14 +62,16 @@ def commit(rev: str) -> str:
     return done.stdout.strip()
 
 
-def run_once(tree: Path, command: list[str], workload: str, seed: int, seconds: float) -> dict:
+def run_once(
+    tree: Path, command: list[str], workload: str, seed: int, seconds: float, trace: int = 0
+) -> dict:
     """One benchmark run in ``tree``: its last stdout line and its machine."""
     argv = [sys.executable if arg in ("python", "python3") else arg for arg in command]
     argv += ["--workload", workload, "--seed", str(seed), "--seconds", f"{seconds:g}"]
-    argv += ["--trace", "0"]
+    argv += ["--trace", str(trace)]
     done = subprocess.run(argv, cwd=tree, capture_output=True, text=True, check=True)
     result = json.loads(done.stdout.strip().splitlines()[-1])
-    detail = tree / "perfbench" / "out" / f"result-{workload}-seed{seed}-trace0.json"
+    detail = tree / "perfbench" / "out" / f"result-{workload}-seed{seed}-trace{trace}.json"
     if detail.is_file():
         result["machine"] = json.loads(detail.read_text(encoding="utf-8"))["metadata"]
     return result
@@ -132,6 +137,24 @@ def summarize(pairs: list[tuple[int, dict, dict]], metrics: list[dict]) -> dict:
     return entry
 
 
+def layers(parent: dict, change: dict, metrics: list[dict]) -> dict:
+    """Both sides' per-layer values from one ``--trace 1`` run each.
+
+    ``metrics`` are ``BENCHMARK.json``'s per-layer entries; a metric a
+    run did not report is left out.
+    """
+    out = {}
+    for metric in metrics:
+        name = metric["name"]
+        if name in parent["metrics"] and name in change["metrics"]:
+            out[name] = {
+                "parent": _round(parent["metrics"][name]["value"]),
+                "change": _round(change["metrics"][name]["value"]),
+                "unit": metric["unit"],
+            }
+    return out
+
+
 def parse_args(argv: list[str] | None, names: list[str]) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="parent revision")
@@ -167,7 +190,8 @@ def main(argv: list[str] | None = None) -> int:
         "machine": {},
         "protocol": "alternating parent/change pairs, parent first on odd seeds; "
         + ", ".join(f"seeds 1-{n} on {w}" for w, n in args.plan.items())
-        + "; parent and change are the runs of the median seed",
+        + "; parent and change are the runs of the median seed; per_layer is one"
+        + " --trace 1 run per side on seed 1, parent first",
         "revisions": {"parent": commit(args.parent), "change": commit("HEAD")},
         "workloads": {},
     }
@@ -192,6 +216,13 @@ def main(argv: list[str] | None = None) -> int:
             keys = ("nproc", "python", "numpy", "cpu")
             out["machine"] = {k: machine[k] for k in keys if k in machine}
             out["workloads"][workload] = summarize(pairs, spec["end_to_end"])
+            traced = {
+                side: run_once(trees[side], command, workload, 1, seconds, trace=1)
+                for side in ("parent", "change")
+            }
+            out["workloads"][workload]["per_layer"] = layers(
+                traced["parent"], traced["change"], spec["per_layer"]
+            )
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {path.name}")
