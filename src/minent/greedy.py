@@ -28,8 +28,9 @@ in one pass the first time ``steps`` is read. Certify, the oracle,
 ``bound``, ``infer`` and ``couple`` without ``--trace`` never read them.
 Against solvers that built every step in the loop, solving took
 0.67-0.87x (in process, alternating, n = 2000 with m = 2, n = 700 with
-m = 4 and n = 300 with m = 10, 2-core machine), and solving then
-reading ``steps`` 0.94-1.10x.
+m = 4 and n = 300 with m = 10, 2-core machine) and 0.85-0.92x on 300
+problems with m = 2-4 and n = 2-6; solving then reading ``steps`` took
+0.94-1.10x.
 
 Per step, both solvers together went from 11.2 to 7.8 us in a traced
 pass of the benchmark's ``large`` workload (seed 1, 2-core machine),
