@@ -34,10 +34,10 @@ problems with m = 2-4 and n = 2-6; solving then reading ``steps`` took
 
 Per step, both solvers together went from 11.2 to 7.8 us in a traced
 pass of the benchmark's ``large`` workload (seed 1, 2-core machine),
-from the held-out tops and from steps built as a ``NamedTuple`` through
-``tuple.__new__`` (0.27 us, against 0.43 us through its constructor and
-0.95 us for the frozen dataclass ``GreedyStep`` was). Measured and not
-kept:
+from the held-out tops and from steps built as a ``NamedTuple`` (0.43 us
+through its constructor, against 0.95 us for the frozen dataclass
+``GreedyStep`` was; ``tuple.__new__`` took 0.27 us, which stopped paying
+once steps were built only on read). Measured and not kept:
 
 - computing the sweep's saturations per axis up front: 1.02x;
 - float-keyed heaps: ``heappushpop`` takes 0.22 us against 0.39 us with
@@ -139,10 +139,8 @@ class GreedyTrace:
 
     @cached_property
     def steps(self) -> tuple[GreedyStep, ...]:
-        # tuple.__new__ skips the keyword handling of the generated constructor
-        new = tuple.__new__
         return tuple([
-            new(GreedyStep, (iteration, cell, mass, frozenset(pairs)))
+            GreedyStep(iteration, cell, mass, frozenset(pairs))
             for iteration, (cell, mass), pairs in zip(
                 self.iterations, self.assignments, self.saturated_pairs()
             )

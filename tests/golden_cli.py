@@ -47,6 +47,8 @@ def build_inputs() -> dict[str, str]:
     return {
         "worked.json": _marginals([[0.6, 0.4], [0.5, 0.5]]),
         "worked.csv": "0.6,0.4\n0.5,0.5\n",
+        # a UTF-8 byte-order mark, as Excel's "CSV UTF-8" writes one
+        "bom.csv": "\ufeff0.6,0.4\n0.5,0.5\n",
         "random_3x4.json": _marginals(dirichlet(3, 4)),
         "random_2x4.json": _marginals(random_2x4),
         "random_2x5.json": _marginals(dirichlet(2, 5)),
@@ -93,6 +95,7 @@ CASES: list[tuple[list[str], dict]] = [
     (["couple", "worked.json", "--alg", "1"], {}),
     (["couple", "worked.json", "--alg", "2"], {}),
     (["couple", "worked.csv"], {}),
+    (["couple", "bom.csv"], {}),
     (["couple", "-", "--alg", "2"], {"stdin": "0.6,0.4\n0.5,0.5\n"}),
     (["couple", "random_3x4.json", "--alg", "1", "--trace"], {"save": "run_alg1.json"}),
     (["couple", "random_3x4.json", "--alg", "2", "--trace"], {"save": "run_alg2.json"}),

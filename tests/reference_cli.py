@@ -1,7 +1,7 @@
 """Reference for the CLI's JSON writers: round, then ``json.dumps(indent=2)``.
 
-The CLI writes its output in one pass (``cli._json_text``). This module
-keeps the two-pass form it replaces: ``_clean`` rounds every float to 12
+``cli._json_text`` rounds a payload and hands it to ``json.dumps``. This
+module does the same on its own: ``_clean`` rounds every float to 12
 significant digits into a fresh tree, and the standard encoder lays it
 out. Tests require the two to agree byte for byte.
 

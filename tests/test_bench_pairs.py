@@ -135,3 +135,58 @@ def test_run_once_asks_for_the_trace_and_reads_its_detail_file(tmp_path, monkeyp
         "perfbench/run.py", "--workload", "large", "--seed", "3", "--seconds", "20",
         "--trace", str(trace),
     ]
+
+
+class _Started(Exception):
+    """Raised in place of the first benchmark run."""
+
+
+@pytest.fixture
+def repo(tmp_path, monkeypatch):
+    """A git repository with two commits of ``src`` and a benchmark spec,
+    where exporting a tree or running the benchmark raises ``_Started``."""
+
+    def git(*args):
+        subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-C", str(tmp_path), *args],
+            check=True, capture_output=True,
+        )
+
+    spec = {"command": ["python3", "perfbench/run.py"], "run_seconds": 1,
+            "workloads": [{"name": "cli"}], "end_to_end": [], "per_layer": []}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec), encoding="utf-8")
+    (tmp_path / "src").mkdir()
+    git("init", "-q")
+    for text in ("x = 1\n", "x = 2\n"):
+        (tmp_path / "src" / "mod.py").write_text(text, encoding="utf-8")
+        git("add", "-A")
+        git("commit", "-q", "-m", text)
+    git("branch", "-M", "main")
+
+    def started(*args, **kwargs):
+        raise _Started
+
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "export", started)
+    monkeypatch.setattr(bench_pairs, "run_once", started)
+    return tmp_path
+
+
+@pytest.mark.parametrize("parent", ["HEAD", "main"])
+def test_refuses_a_parent_that_is_head(repo, parent):
+    with pytest.raises(SystemExit, match="is HEAD; commit the change first"):
+        bench_pairs.main(["--parent", parent, "--pr", "1", "--workload", "cli=2"])
+
+
+@pytest.mark.parametrize("edit", ["mod.py", "new.py"])
+def test_refuses_uncommitted_changes_under_src(repo, edit):
+    (repo / "src" / edit).write_text("x = 3\n", encoding="utf-8")
+    with pytest.raises(SystemExit, match="src has uncommitted changes") as refused:
+        bench_pairs.main(["--parent", "HEAD~1", "--pr", "1", "--workload", "cli=2"])
+    assert f"src/{edit}" in str(refused.value)
+
+
+def test_starts_on_a_committed_change_with_edits_outside_src(repo):
+    (repo / "notes.md").write_text("draft\n", encoding="utf-8")
+    with pytest.raises(_Started):
+        bench_pairs.main(["--parent", "HEAD~1", "--pr", "1", "--workload", "cli=2"])

@@ -637,6 +637,51 @@ class TestOneIngestRule:
         assert message in err
 
 
+
+class TestByteOrderMark:
+    """A leading U+FEFF, as Excel's "CSV UTF-8" writes, reads as if absent."""
+
+    BOM = "\ufeff"
+    WORKED_CSV = "0.6,0.4\n0.5,0.5\n"
+
+    @pytest.mark.parametrize(
+        "command, name, text",
+        [
+            ("couple", "problem.csv", WORKED_CSV),
+            ("couple", "problem.json", '{"marginals": [[0.6, 0.4], [0.5, 0.5]]}'),
+            ("infer", "joint.csv", "0.3,0.1\n0.2,0.4\n"),
+        ],
+    )
+    def test_input_file(self, tmp_path, capsys, command, name, text):
+        plain = run_cli(capsys, command, write(tmp_path, name, text))
+        marked = run_cli(capsys, command, write(tmp_path, "bom-" + name, self.BOM + text))
+        assert plain[0] == 0
+        assert marked == plain
+
+    def test_stdin(self, capsys, monkeypatch):
+        outputs = []
+        for prefix in ("", self.BOM):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(prefix + self.WORKED_CSV))
+            outputs.append(run_cli(capsys, "couple", "-", "--alg", "2"))
+        assert outputs[0][0] == 0
+        assert outputs[1] == outputs[0]
+
+    def test_run_file(self, tmp_path, capsys):
+        problem = write(tmp_path, "problem.csv", self.WORKED_CSV)
+        _, run, _ = run_cli(capsys, "couple", problem, "--trace")
+        outputs = [
+            run_cli(capsys, "certify", problem, "--trace-in", write(tmp_path, name, text))
+            for name, text in [("run.json", run), ("bom-run.json", self.BOM + run)]
+        ]
+        assert outputs[0][0] == 0
+        assert outputs[1] == outputs[0]
+
+    def test_only_one_mark_is_dropped(self, tmp_path, capsys):
+        path = write(tmp_path, "problem.csv", self.BOM * 2 + self.WORKED_CSV)
+        code, out, err = run_cli(capsys, "couple", path)
+        assert (code, out) == (2, "")
+        assert err == "error: could not convert string to float: '\\ufeff0.6'\n"
+
 class TestMalformedShapes:
     """JSON of the wrong shape exits 2 naming the field, not with a traceback."""
 
@@ -968,7 +1013,7 @@ json_values = st.recursive(
 
 
 class TestJsonWriter:
-    """The one-pass writer prints what rounding then json.dumps(indent=2) did."""
+    """The CLI's writers print what rounding then json.dumps(indent=2) does."""
 
     @given(json_values)
     @example({"x": -0.0, "rows": [[], {}, ()], "flags": [True, False, None, 1]})

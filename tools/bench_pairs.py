@@ -7,7 +7,9 @@ Usage::
 The parent revision and ``HEAD`` are exported with ``git archive`` into
 one temporary directory, so uncommitted edits are not measured and the
 runs write nothing in the repository; the only file written is
-``BENCH_<pr>.json`` at the repository root. The command, the run length,
+``BENCH_<pr>.json`` at the repository root. It refuses to start when
+``--parent`` is ``HEAD`` or ``src`` has uncommitted changes, since either
+would compare the parent with itself. The command, the run length,
 the workloads and the end-to-end metrics come from ``BENCHMARK.json``.
 Seed ``s`` of a workload runs ``--workload W --seed s --seconds
 <run_seconds> --trace 0`` in each tree, the parent first when ``s`` is
@@ -60,6 +62,24 @@ def commit(rev: str) -> str:
         capture_output=True, text=True, check=True,
     )
     return done.stdout.strip()
+
+
+def refuse_self_comparison(parent: str) -> None:
+    """Exit unless ``HEAD`` holds a change to measure against ``parent``.
+
+    The runs measure committed trees: against a parent that is ``HEAD``,
+    or with the change still uncommitted under ``src``, they would take
+    half an hour to report noise as the change's effect.
+    """
+    if commit(parent) == commit("HEAD"):
+        sys.exit(f"--parent {parent} is HEAD; commit the change first")
+    status = subprocess.run(
+        ["git", "-C", str(ROOT), "status", "--porcelain", "--", "src"],
+        capture_output=True, text=True, check=True,
+    )
+    if status.stdout.strip():
+        sys.exit("src has uncommitted changes, which the runs would not measure;"
+                 " commit them first:\n" + status.stdout.rstrip())
 
 
 def run_once(
@@ -182,6 +202,7 @@ def parse_args(argv: list[str] | None, names: list[str]) -> argparse.Namespace:
 def main(argv: list[str] | None = None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     args = parse_args(argv, [w["name"] for w in spec["workloads"]])
+    refuse_self_comparison(args.parent)
     seconds = spec["run_seconds"]
     command = spec["command"]
     out = {
