@@ -637,7 +637,6 @@ class TestOneIngestRule:
         assert message in err
 
 
-
 class TestByteOrderMark:
     """A leading U+FEFF, as Excel's "CSV UTF-8" writes, reads as if absent."""
 
@@ -681,6 +680,7 @@ class TestByteOrderMark:
         code, out, err = run_cli(capsys, "couple", path)
         assert (code, out) == (2, "")
         assert err == "error: could not convert string to float: '\\ufeff0.6'\n"
+
 
 class TestMalformedShapes:
     """JSON of the wrong shape exits 2 naming the field, not with a traceback."""
