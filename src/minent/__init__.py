@@ -5,92 +5,42 @@ local-optimality certificates for their outputs, additive approximation
 bound reports, an exact branch-and-bound oracle for small two-marginal
 instances, and an entropic causal direction test built on the solvers.
 
-The causal direction test's three names are imported on first access, so
-``import minent`` and the ``couple``, ``certify`` and ``bound`` commands
-do not compile ``causality.py`` when no bytecode is cached. Nothing in
-the package needs numpy: ``generate --family random`` draws numpy's
-seeded numbers in pure Python (``_random.py``).
+``import minent`` loads no submodule: each public name is imported from
+its module on first access and then kept here, so a ``minent`` command
+compiles and runs only the modules it uses. Nothing in the package needs
+numpy: ``generate --family random`` draws numpy's seeded numbers in pure
+Python (``_random.py``).
 """
-
-from .bounds import (
-    BoundReport,
-    bound_report,
-    special_family,
-)
-from .certify import (
-    EPS_CERT,
-    Certificate,
-    CertificationError,
-    certify_local_optimum,
-)
-from .core import (
-    EPS_MARG,
-    EPS_SUM,
-    EPS_ZERO,
-    DimensionError,
-    DomainError,
-    Marginal,
-    SparseCoupling,
-    extended_entropy,
-    marginalize,
-)
-from .greedy import (
-    GreedyStep,
-    GreedyTrace,
-    greedy_coupling,
-    greedy_coupling_two_phase,
-)
-from .oracle import (
-    DEFAULT_N_CAP,
-    SizeCapError,
-    exact_min_entropy_2var,
-)
 
 __version__ = "0.1.0"
 
-_CAUSALITY_NAMES = frozenset(
-    {
-        "DirectionReport",
-        "JointObservation",
-        "infer_direction",
-    }
-)
+# The module that defines each public name.
+_NAMES = {
+    "bounds": ("BoundReport", "bound_report", "special_family"),
+    "causality": ("DirectionReport", "JointObservation", "infer_direction"),
+    "certify": ("EPS_CERT", "Certificate", "certify_local_optimum"),
+    "core": (
+        "CertificationError", "DimensionError", "DomainError", "EPS_MARG", "EPS_SUM",
+        "EPS_ZERO", "Marginal", "SizeCapError", "SparseCoupling", "extended_entropy",
+        "marginalize",
+    ),
+    "greedy": ("GreedyStep", "GreedyTrace", "greedy_coupling", "greedy_coupling_two_phase"),
+    "oracle": ("DEFAULT_N_CAP", "exact_min_entropy_2var"),
+}
+_MODULE_OF = {name: module for module, names in _NAMES.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name: str):
-    if name in _CAUSALITY_NAMES:
-        from . import causality
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
 
-        value = getattr(causality, name)
-        globals()[name] = value
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
 
-__all__ = [
-    "BoundReport",
-    "Certificate",
-    "CertificationError",
-    "DEFAULT_N_CAP",
-    "DimensionError",
-    "DirectionReport",
-    "DomainError",
-    "EPS_CERT",
-    "EPS_MARG",
-    "EPS_SUM",
-    "EPS_ZERO",
-    "GreedyStep",
-    "GreedyTrace",
-    "JointObservation",
-    "Marginal",
-    "SizeCapError",
-    "SparseCoupling",
-    "bound_report",
-    "certify_local_optimum",
-    "exact_min_entropy_2var",
-    "extended_entropy",
-    "greedy_coupling",
-    "greedy_coupling_two_phase",
-    "infer_direction",
-    "marginalize",
-    "special_family",
-]
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

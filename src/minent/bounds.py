@@ -24,20 +24,19 @@ input marginals are validated, once, by ``coerce_marginals``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .core import (
     DomainError,
     Marginal,
+    Record,
     coerce_marginals,
     extended_entropy,
     sorted_sweep,
 )
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Record):
     """Approximation bracket for a set of marginals.
 
     ``sorted_marginals[j]`` is marginal j in decreasing order,
@@ -58,7 +57,18 @@ class BoundReport:
     lower_bound: float
     slack: float
     upper_bound: float
-    achieved: float | None = None
+    achieved: float | None
+
+    def __init__(
+        self, m, sorted_marginals, pointwise_min, residuals, residual_total,
+        residual_entropies, lower_bound, slack, upper_bound, achieved=None,
+    ) -> None:
+        self.__dict__.update(
+            m=m, sorted_marginals=sorted_marginals, pointwise_min=pointwise_min,
+            residuals=residuals, residual_total=residual_total,
+            residual_entropies=residual_entropies, lower_bound=lower_bound, slack=slack,
+            upper_bound=upper_bound, achieved=achieved,
+        )
 
     def to_dict(self) -> dict:
         return {

@@ -29,7 +29,6 @@ Python 3.12 on.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 
 from .core import (
     EPS_SUM,
@@ -37,6 +36,7 @@ from .core import (
     DimensionError,
     DomainError,
     Marginal,
+    Record,
     extended_entropy,
     require_finite,
 )
@@ -115,8 +115,7 @@ def _matrix_rows(matrix: Sequence[Sequence[float]]) -> list[list[float]]:
         raise
 
 
-@dataclass(frozen=True)
-class JointObservation:
+class JointObservation(Record):
     """An observed joint distribution of two discrete variables.
 
     Rows index the states of X, columns the states of Y; ``joint`` is a
@@ -129,6 +128,9 @@ class JointObservation:
     joint: Matrix
     row_labels: tuple[int, ...]
     col_labels: tuple[int, ...]
+
+    def __init__(self, joint, row_labels, col_labels) -> None:
+        self.__dict__.update(joint=joint, row_labels=row_labels, col_labels=col_labels)
 
     @classmethod
     def from_matrix(cls, matrix: Sequence[Sequence[float]]) -> "JointObservation":
@@ -168,8 +170,7 @@ class JointObservation:
         return cls(joint, tuple(xs), tuple(ys))
 
 
-@dataclass(frozen=True)
-class DirectionReport:
+class DirectionReport(Record):
     """Both causal directions' entropy scores and the resulting verdict.
 
     ``exo_x_to_y`` is the greedy coupling entropy of the conditionals
@@ -188,7 +189,17 @@ class DirectionReport:
     score_y_to_x: float
     margin: float
     verdict: str
-    diagnostic: str | None = None
+    diagnostic: str | None
+
+    def __init__(
+        self, h_x, h_y, exo_x_to_y, exo_y_to_x, score_x_to_y, score_y_to_x, margin, verdict,
+        diagnostic=None,
+    ) -> None:
+        self.__dict__.update(
+            h_x=h_x, h_y=h_y, exo_x_to_y=exo_x_to_y, exo_y_to_x=exo_y_to_x,
+            score_x_to_y=score_x_to_y, score_y_to_x=score_y_to_x, margin=margin,
+            verdict=verdict, diagnostic=diagnostic,
+        )
 
     def to_dict(self) -> dict:
         return {

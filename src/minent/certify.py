@@ -49,9 +49,8 @@ measured 1.05x and was not kept.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .core import DimensionError, DomainError, SparseCoupling
+from .core import CertificationError, DimensionError, DomainError, Record, SparseCoupling
 from .greedy import GreedyTrace
 
 # Residual tolerance, and relative mass-reconstruction tolerance, for
@@ -60,28 +59,7 @@ from .greedy import GreedyTrace
 EPS_CERT = 1e-8
 
 
-class CertificationError(RuntimeError):
-    """The coupling could not be certified as a local optimum.
-
-    Signals either a tampered coupling/trace pair or numerically
-    degenerate input. Diagnostics that were computed before the failure
-    are attached when available.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        residual_norm: float | None = None,
-        max_reconstruction_error: float | None = None,
-    ) -> None:
-        super().__init__(message)
-        self.residual_norm = residual_norm
-        self.max_reconstruction_error = max_reconstruction_error
-
-
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     """Witness vectors proving a coupling's masses factor per axis.
 
     ``u`` holds one witness vector per axis, as back-substitution left it:
@@ -95,15 +73,16 @@ class Certificate:
     residual_norm: float
     max_reconstruction_error: float
 
-    def __post_init__(self) -> None:
-        if self.residual_norm > EPS_CERT:
+    def __init__(self, u, residual_norm, max_reconstruction_error) -> None:
+        if residual_norm > EPS_CERT:
+            raise DomainError(f"certificate residual {residual_norm!r} exceeds {EPS_CERT}")
+        if max_reconstruction_error > EPS_CERT:
             raise DomainError(
-                f"certificate residual {self.residual_norm!r} exceeds {EPS_CERT}"
+                f"reconstruction error {max_reconstruction_error!r} exceeds {EPS_CERT}"
             )
-        if self.max_reconstruction_error > EPS_CERT:
-            raise DomainError(
-                f"reconstruction error {self.max_reconstruction_error!r} exceeds {EPS_CERT}"
-            )
+        self.__dict__.update(
+            u=u, residual_norm=residual_norm, max_reconstruction_error=max_reconstruction_error
+        )
 
     def to_dict(self) -> dict:
         return {

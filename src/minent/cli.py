@@ -15,6 +15,11 @@ what ``couple`` wrote.
 
 Exit codes: 0 success, 2 input error, 3 certification failure, 4 size cap
 exceeded.
+
+Each command imports the modules it runs when it starts, so a call
+compiles and loads only those: ``couple`` needs ``core`` and ``greedy``
+alone. ``main`` catches the error classes of ``certify`` and ``oracle``
+from ``core``, where they live for that reason.
 """
 
 from __future__ import annotations
@@ -26,21 +31,20 @@ import json
 import sys
 from pathlib import Path
 
-from .bounds import bound_report, special_family
-from .certify import CertificationError, certify_local_optimum
 from .core import (
     EPS_MARG,
     EPS_ZERO,
+    CertificationError,
     DimensionError,
     DomainError,
     Marginal,
+    SizeCapError,
     SparseCoupling,
     coerce_marginals,
     extended_entropy,
     marginalize,
 )
 from .greedy import SOLVERS, GreedyTrace
-from .oracle import SizeCapError, exact_min_entropy_2var
 
 
 def _rounded(obj):
@@ -159,10 +163,19 @@ def _option_type(convert):
     return parse
 
 
+def _json_doc(text: str):
+    """``json.loads(text)``, with input nested deeper than the parser
+    can follow rejected by one message on every interpreter."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise DomainError("JSON input is nested too deeply to parse") from None
+
+
 def _parse_rows(text: str, key: str) -> list[list[float]]:
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        doc = json.loads(text)
+        doc = _json_doc(text)
         if key not in doc:
             raise DomainError(f"JSON problem file lacks a {key!r} field")
         rows = doc[key]
@@ -265,7 +278,7 @@ def _load_run_file(path: str, marginals: tuple[Marginal, ...]):
 
     At n = 10^4, ``json.loads`` alone outlasts re-solving; checking and
     converting in one walk saved nothing (0.370 s against 0.363 s)."""
-    doc = json.loads(_read_text(path))
+    doc = _json_doc(_read_text(path))
     if not isinstance(doc, dict) or "entries" not in doc or "trace" not in doc:
         raise DomainError("run file needs both 'entries' and 'trace' fields")
     _require_shape(doc["entries"], _RUN_ENTRIES, "run file 'entries'")
@@ -309,6 +322,8 @@ def _check_feasible(coupling: SparseCoupling, marginals: tuple[Marginal, ...]) -
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
+    from .certify import certify_local_optimum
+
     marginals = _load_marginals(args.input)
     if args.trace_in:
         coupling, trace = _load_run_file(args.trace_in, marginals)
@@ -321,12 +336,16 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
+    from .bounds import bound_report
+
     marginals = _load_marginals(args.input)
     if args.oracle:
         # Before solving: the oracle rejects n > DEFAULT_N_CAP before it
         # runs a solver of its own.
         if len(marginals) != 2:
             raise DomainError("--oracle needs exactly two marginals")
+        from .oracle import exact_min_entropy_2var
+
         _, best_entropy = exact_min_entropy_2var(marginals[0], marginals[1])
     coupling, _ = SOLVERS["alg" + args.alg](marginals)
     achieved = extended_entropy(coupling)
@@ -357,7 +376,6 @@ def _load_samples(text: str) -> list[tuple[int, int]]:
 
 
 def cmd_infer(args: argparse.Namespace) -> int:
-    # imported here so the other commands do not compile causality.py
     from .causality import JointObservation, infer_direction
 
     text = _read_text(args.input)
@@ -383,6 +401,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
     if args.family == "special":
         if args.alpha is None:
             raise DomainError("--alpha is required for the special family")
+        from .bounds import special_family
+
         uniform, skewed, predicted, second = special_family(args.n, args.alpha)
         _emit(
             {

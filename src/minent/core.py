@@ -9,7 +9,6 @@ in bits (logarithm base 2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 # Sum-to-one checks on distributions.
@@ -29,6 +28,70 @@ class DimensionError(ValueError):
     """Inputs that must share a length or shape do not."""
 
 
+class CertificationError(RuntimeError):
+    """The coupling could not be certified as a local optimum.
+
+    Signals either a tampered coupling/trace pair or numerically
+    degenerate input. Diagnostics that were computed before the failure
+    are attached when available.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        *,
+        residual_norm: float | None = None,
+        max_reconstruction_error: float | None = None,
+    ) -> None:
+        super().__init__(message)
+        self.residual_norm = residual_norm
+        self.max_reconstruction_error = max_reconstruction_error
+
+
+class SizeCapError(ValueError):
+    """Instance exceeds the vertex-enumeration size cap."""
+
+
+class Record:
+    """Base of the package's immutable value types.
+
+    A subclass annotates its fields in order, and its own ``__init__``
+    validates its arguments and fills ``self.__dict__``. ``repr``, ``==``
+    and ``hash`` run over the fields as a frozen dataclass's do, and
+    assigning or deleting an attribute raises AttributeError. Instances
+    keep their ``__dict__``, so ``functools.cached_property``, pickle and
+    ``copy.deepcopy`` work on them. Not a dataclass: ``dataclasses``
+    imports ``inspect``, which every CLI call would pay for at start-up.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
+
+    def _values(self) -> tuple:
+        return tuple([self.__dict__[name] for name in self._fields])
+
+    def __repr__(self) -> str:
+        fields = [f"{name}={value!r}" for name, value in zip(self._fields, self._values())]
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def require_finite(values: Sequence[float], what: str) -> None:
     """Raise DomainError naming the first NaN or infinite entry of ``values``.
 
@@ -42,8 +105,7 @@ def require_finite(values: Sequence[float], what: str) -> None:
     raise DomainError(f"{what} has non-finite entry {bad!r} at position {position}")
 
 
-@dataclass(frozen=True)
-class Marginal:
+class Marginal(Record):
     """A discrete probability distribution over states 1..n.
 
     Entries must be finite, nonnegative and sum to 1 within ``EPS_SUM``.
@@ -52,17 +114,18 @@ class Marginal:
 
     probs: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "probs", tuple(map(float, self.probs)))
-        if len(self.probs) == 0:
+    def __init__(self, probs: Iterable[float]) -> None:
+        probs = tuple(map(float, probs))
+        if len(probs) == 0:
             raise DomainError("marginal needs at least one state")
-        require_finite(self.probs, "marginal")
-        low = min(self.probs)
+        require_finite(probs, "marginal")
+        low = min(probs)
         if low < 0.0:
             raise DomainError(f"negative probability {low!r} in marginal")
-        total = math.fsum(self.probs)
+        total = math.fsum(probs)
         if abs(total - 1.0) > EPS_SUM:
             raise DomainError(f"marginal sums to {total!r}, expected 1.0")
+        self.__dict__["probs"] = probs
 
     @classmethod
     def of(cls, values: Iterable[float]) -> "Marginal":
@@ -100,8 +163,7 @@ def coerce_marginals(
     return ms
 
 
-@dataclass(frozen=True)
-class SparseCoupling:
+class SparseCoupling(Record):
     """A joint distribution over m variables stored as tuple -> mass.
 
     Index tuples are 1-based. Only strictly positive masses are stored;
@@ -113,39 +175,39 @@ class SparseCoupling:
     num_vars: int
     cardinalities: tuple[int, ...]
     entries: Mapping[tuple[int, ...], float]
-    assignment_order: tuple[tuple[tuple[int, ...], float], ...] = ()
+    assignment_order: tuple[tuple[tuple[int, ...], float], ...]
 
-    def __post_init__(self) -> None:
-        if self.num_vars < 2:
+    def __init__(self, num_vars, cardinalities, entries, assignment_order=()) -> None:
+        if num_vars < 2:
             raise DomainError("coupling needs at least two variables")
-        if len(self.cardinalities) != self.num_vars:
-            raise DimensionError(
-                f"{self.num_vars} variables but {len(self.cardinalities)} cardinalities"
-            )
-        if any(c < 1 for c in self.cardinalities):
+        if len(cardinalities) != num_vars:
+            raise DimensionError(f"{num_vars} variables but {len(cardinalities)} cardinalities")
+        if any(c < 1 for c in cardinalities):
             raise DomainError("cardinalities must be positive")
-        if not self.entries:
+        if not entries:
             raise DomainError("coupling has no entries")
-        object.__setattr__(self, "entries", dict(self.entries))
-        for tup, mass in self.entries.items():
-            if len(tup) != self.num_vars:
-                raise DimensionError(f"index tuple {tup} does not have {self.num_vars} axes")
+        entries = dict(entries)
+        for tup, mass in entries.items():
+            if len(tup) != num_vars:
+                raise DimensionError(f"index tuple {tup} does not have {num_vars} axes")
             for axis, state in enumerate(tup):
-                if not 1 <= state <= self.cardinalities[axis]:
+                if not 1 <= state <= cardinalities[axis]:
                     raise DomainError(f"state {state} out of range on axis {axis + 1}")
             if not math.isfinite(mass):
                 raise DomainError(f"non-finite mass {mass!r} at {tup}")
             if mass <= EPS_ZERO:
                 raise DomainError(f"mass {mass!r} at {tup} is not above {EPS_ZERO}")
-        total = math.fsum(self.entries.values())
+        total = math.fsum(entries.values())
         if abs(total - 1.0) > EPS_SUM:
             raise DomainError(f"coupling mass sums to {total!r}, expected 1.0")
-        if not self.assignment_order:
-            object.__setattr__(
-                self, "assignment_order", tuple(self.entries.items())
-            )
-        elif {t for t, _ in self.assignment_order} != set(self.entries):
+        if not assignment_order:
+            assignment_order = tuple(entries.items())
+        elif {t for t, _ in assignment_order} != set(entries):
             raise DomainError("assignment order does not cover the coupling support")
+        self.__dict__.update(
+            num_vars=num_vars, cardinalities=cardinalities, entries=entries,
+            assignment_order=assignment_order,
+        )
 
     @property
     def num_entries(self) -> int:

@@ -57,12 +57,11 @@ once steps were built only on read). Measured and not kept:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappushpop
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .core import EPS_ZERO, Marginal, SparseCoupling, coerce_marginals, sorted_sweep
+from .core import EPS_ZERO, Marginal, Record, SparseCoupling, coerce_marginals, sorted_sweep
 
 
 class GreedyStep(NamedTuple):
@@ -79,8 +78,7 @@ class GreedyStep(NamedTuple):
     saturated_axes: frozenset[tuple[int, int]]
 
 
-@dataclass(frozen=True)
-class GreedyTrace:
+class GreedyTrace(Record):
     """The ordered steps of one solver run, as the record the solver keeps.
 
     ``assignments`` holds each step's ``(cell, mass)`` pair, the cell a
@@ -100,7 +98,13 @@ class GreedyTrace:
     assignments: tuple[tuple[tuple[int, ...], float], ...]
     closed: tuple[int, ...]
     iterations: tuple[int, ...]
-    phase_boundary: int | None = None
+    phase_boundary: int | None
+
+    def __init__(self, assignments, closed, iterations, phase_boundary=None) -> None:
+        self.__dict__.update(
+            assignments=assignments, closed=closed, iterations=iterations,
+            phase_boundary=phase_boundary,
+        )
 
     @classmethod
     def from_steps(

@@ -80,6 +80,7 @@ from typing import Iterable
 from .core import (
     EPS_ZERO,
     Marginal,
+    SizeCapError,
     SparseCoupling,
     coerce_marginals,
     extended_entropy,
@@ -102,10 +103,6 @@ _SLACK = 1e-6
 # One completed saturating order: (row * width + col, mass) cells with
 # 0-based lines; the flat integer coding keeps sorting and hashing cheap.
 _Candidate = tuple[tuple[int, float], ...]
-
-
-class SizeCapError(ValueError):
-    """Instance exceeds the vertex-enumeration size cap."""
 
 
 def _leaves(

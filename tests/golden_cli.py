@@ -86,6 +86,8 @@ def build_inputs() -> dict[str, str]:
         "samples.csv": "\n".join(["1,1"] * 40 + ["1,2"] * 10 + ["2,2"] * 50) + "\n",
         "bad_joint.csv": "0.5,abc\n0,0.5\n",
         "pruned.csv": "0.25,0,0.25\n0,0,0\n0.3,0,0.2\n",
+        # nested past the depth that any interpreter's JSON parser follows
+        "deep.json": '{"marginals": %s}' % ("[" * 100_000 + "]" * 100_000),
         "bad_samples.csv": "1,2,3\n",
     }
 
@@ -159,6 +161,7 @@ CASES: list[tuple[list[str], dict]] = [
     (["bound", "empty.csv"], {}),
     (["couple", "missing.json"], {}),
     (["certify", "worked.json", "--trace-in", "worked.json"], {}),
+    (["couple", "deep.json"], {}),
 ]
 
 

@@ -928,6 +928,42 @@ class TestMalformedShapes:
         assert expected[0] == 0
 
 
+# Nested far past the depth that any interpreter's JSON parser follows:
+# 3.10-3.12 stop near the recursion limit of 1,000, 3.13 near 10,000.
+DEEP_LIST = "[" * 100_000 + "]" * 100_000
+DEEP_OBJECT = '{"a": ' * 100_000 + "0" + "}" * 100_000
+DEEP_ERROR = (2, "", "error: JSON input is nested too deeply to parse\n")
+
+
+class TestDeepNesting:
+    """JSON nested too deeply to parse exits 2 with one message, not a traceback."""
+
+    @pytest.mark.parametrize("command", ["couple", "certify", "bound"])
+    @pytest.mark.parametrize("deep", [DEEP_LIST, DEEP_OBJECT], ids=["list", "object"])
+    def test_problem_file_exit_2(self, tmp_path, capsys, command, deep):
+        path = write(tmp_path, "deep.json", '{"marginals": %s}' % deep)
+        assert run_cli(capsys, command, path) == DEEP_ERROR
+
+    def test_joint_exit_2(self, tmp_path, capsys):
+        path = write(tmp_path, "deep.json", '{"joint": %s}' % DEEP_LIST)
+        assert run_cli(capsys, "infer", path) == DEEP_ERROR
+
+    @pytest.mark.parametrize(
+        "text", ['{"entries": %s, "trace": []}', '{"entries": [], "trace": %s}'],
+        ids=["entries", "trace"],
+    )
+    def test_run_file_exit_2(self, tmp_path, capsys, text):
+        path = problem_file(tmp_path, [[0.6, 0.4], [0.5, 0.5]])
+        run_file = write(tmp_path, "run.json", text % DEEP_LIST)
+        assert run_cli(capsys, "certify", path, "--trace-in", run_file) == DEEP_ERROR
+
+    def test_shallow_nesting_still_names_the_item(self, tmp_path, capsys):
+        text = '{"marginals": [[%s], [0.5, 0.5]]}' % ("[" * 50 + "]" * 50)
+        path = write(tmp_path, "nested.json", text)
+        message = "error: 'marginals' item 1 item 1 is not a number\n"
+        assert run_cli(capsys, "couple", path) == (2, "", message)
+
+
 # masses above EPS_ZERO that 12 significant digits round down to it
 DUST_BAND = st.floats(
     min_value=EPS_ZERO, max_value=1.000000000005e-12, exclude_min=True, exclude_max=True

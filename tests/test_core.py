@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import re
 
 import numpy as np
@@ -10,13 +12,16 @@ from minent import (
     EPS_MARG,
     DimensionError,
     DomainError,
+    JointObservation,
     Marginal,
     SparseCoupling,
     bound_report,
+    certify_local_optimum,
     exact_min_entropy_2var,
     extended_entropy,
     greedy_coupling,
     greedy_coupling_two_phase,
+    infer_direction,
     marginalize,
 )
 from minent.core import coerce_marginals, sorted_sweep
@@ -149,6 +154,147 @@ class TestSparseCoupling:
             SparseCoupling(2, (2, 2), entries, (((1, 1), 0.5),))
         with pytest.raises(DomainError, match="does not cover the coupling support"):
             SparseCoupling(2, (2, 2), entries, (((1, 1), 0.5), ((1, 2), 0.5)))
+
+
+def records(rows):
+    """One instance of each of the package's seven record types."""
+    coupling, trace = greedy_coupling(rows)
+    joint = JointObservation.from_matrix([[v / 2 for v in row] for row in rows])
+    return {
+        "Marginal": Marginal(rows[0]),
+        "SparseCoupling": coupling,
+        "GreedyTrace": trace,
+        "Certificate": certify_local_optimum(coupling, trace),
+        "BoundReport": bound_report(rows, achieved=extended_entropy(coupling)),
+        "JointObservation": joint,
+        "DirectionReport": infer_direction(joint),
+    }
+
+
+WORKED = [[0.6, 0.4], [0.5, 0.5]]
+OTHER = [[0.7, 0.3], [0.5, 0.5]]
+
+# Each type's fields in order and its repr of WORKED, as the frozen
+# dataclasses these types once were printed them.
+RECORD_FIELDS = {
+    "Marginal": ["probs"],
+    "SparseCoupling": ["num_vars", "cardinalities", "entries", "assignment_order"],
+    "GreedyTrace": ["assignments", "closed", "iterations", "phase_boundary"],
+    "Certificate": ["u", "residual_norm", "max_reconstruction_error"],
+    "BoundReport": [
+        "m", "sorted_marginals", "pointwise_min", "residuals", "residual_total",
+        "residual_entropies", "lower_bound", "slack", "upper_bound", "achieved",
+    ],
+    "JointObservation": ["joint", "row_labels", "col_labels"],
+    "DirectionReport": [
+        "h_x", "h_y", "exo_x_to_y", "exo_y_to_x", "score_x_to_y", "score_y_to_x",
+        "margin", "verdict", "diagnostic",
+    ],
+}
+RECORD_REPRS = {
+    "Marginal": "Marginal(probs=(0.6, 0.4))",
+    "SparseCoupling": (
+        "SparseCoupling(num_vars=2, cardinalities=(2, 2), entries={(1, 1): 0.5, "
+        "(2, 2): 0.4, (1, 2): 0.09999999999999998}, assignment_order=(((1, 1), 0.5), "
+        "((2, 2), 0.4), ((1, 2), 0.09999999999999998)))"
+    ),
+    "GreedyTrace": (
+        "GreedyTrace(assignments=(((1, 1), 0.5), ((2, 2), 0.4), ((1, 2), "
+        "0.09999999999999998)), closed=(2, 1, 3), iterations=(1, 2, 3), phase_boundary=None)"
+    ),
+    "Certificate": (
+        "Certificate(u=((-2.3219280948873626, -0.3219280948873622), (2.3219280948873626, "
+        "0.0)), residual_norm=0.0, max_reconstruction_error=0.0)"
+    ),
+    "BoundReport": (
+        "BoundReport(m=2, sorted_marginals=((0.6, 0.4), (0.5, 0.5)), pointwise_min=(0.5, "
+        "0.4), residuals=((0.09999999999999998, 0.0), (0.0, 0.09999999999999998)), "
+        "residual_total=0.09999999999999998, residual_entropies=(0.3321928094887362, "
+        "0.3321928094887362), lower_bound=1.0, slack=0.9999999999999999, upper_bound=2.0, "
+        "achieved=1.360964047443681)"
+    ),
+    "JointObservation": (
+        "JointObservation(joint=((0.3, 0.2), (0.25, 0.25)), row_labels=(1, 2), "
+        "col_labels=(1, 2))"
+    ),
+    "DirectionReport": (
+        "DirectionReport(h_x=1.0, h_y=0.9927744539878083, exo_x_to_y=1.360964047443681, "
+        "exo_y_to_x=1.0639130207173026, score_x_to_y=2.360964047443681, "
+        "score_y_to_x=2.056687474705111, margin=0.0, verdict='YtoX', diagnostic=None)"
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(RECORD_FIELDS))
+class TestRecordSemantics:
+    """What the seven record types kept from the frozen dataclasses they were."""
+
+    def test_repr(self, kind):
+        assert repr(records(WORKED)[kind]) == RECORD_REPRS[kind]
+
+    def test_equality(self, kind):
+        record, again, other = records(WORKED)[kind], records(WORKED)[kind], records(OTHER)[kind]
+        assert record is not again
+        assert record == again and not record != again
+        assert record != other
+        assert record != object()
+        assert (record == object()) is False
+
+    def test_hash(self, kind):
+        record, again = records(WORKED)[kind], records(WORKED)[kind]
+        if kind == "SparseCoupling":
+            # its entries are a dict
+            with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+                hash(record)
+        else:
+            assert hash(record) == hash(again)
+            assert len({record, again}) == 1
+
+    def test_fields_cannot_be_assigned_or_deleted(self, kind):
+        record = records(WORKED)[kind]
+        for name in [*RECORD_FIELDS[kind], "not_a_field"]:
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+                delattr(record, name)
+        assert repr(record) == RECORD_REPRS[kind]
+
+    def test_keyword_construction(self, kind):
+        record = records(WORKED)[kind]
+        fields = {name: getattr(record, name) for name in RECORD_FIELDS[kind]}
+        rebuilt = type(record)(**fields)
+        assert rebuilt == record
+        assert repr(rebuilt) == RECORD_REPRS[kind]
+        assert type(record)(*fields.values()) == record
+
+    def test_missing_or_extra_argument(self, kind):
+        record = records(WORKED)[kind]
+        cls = type(record)
+        fields = {name: getattr(record, name) for name in RECORD_FIELDS[kind]}
+        first = RECORD_FIELDS[kind][0]
+        with pytest.raises(TypeError, match=f"missing 1 required positional argument: '{first}'"):
+            cls(**{k: v for k, v in fields.items() if k != first})
+        with pytest.raises(TypeError, match="unexpected keyword argument 'extra'"):
+            cls(**fields, extra=None)
+        with pytest.raises(TypeError, match="positional arguments but"):
+            cls(*fields.values(), None)
+
+    def test_pickle_and_deepcopy_round_trips(self, kind):
+        record = records(WORKED)[kind]
+        for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+            assert copied == record and copied is not record
+            assert repr(copied) == RECORD_REPRS[kind]
+            with pytest.raises(AttributeError):
+                setattr(copied, RECORD_FIELDS[kind][0], None)
+
+
+def test_trace_steps_survive_pickle_and_deepcopy():
+    _, trace = greedy_coupling(WORKED)
+    steps = trace.steps
+    assert trace.steps is steps
+    for copied in (pickle.loads(pickle.dumps(trace)), copy.deepcopy(trace)):
+        assert copied == trace
+        assert copied.steps == steps
 
 
 # masses in [0, 1], subnormals and exact zeros included: every term
