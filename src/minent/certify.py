@@ -34,16 +34,19 @@ trace's ``GreedyStep`` objects. A prototype whose certify read
 workload 4 % slower, since every problem there is certified. The
 closed axes the record also keeps are never read.
 
-The solve runs in plain loops: one pass per row finds the owned slot
-and adds up the fixed witnesses, and the last use of each slot sits in
-one list per axis. In a traced pass of the benchmark's ``large``
-workload (seed 1, 2-core machine) certifying its 4,343 rows took
-0.017 s, against 0.030 s with a per-row ``next()`` over a generator,
-two ``sum()`` over generators and a dict keyed by (axis, state). The
-witnesses are added in axis order starting from int 0, as ``sum()``
-adds floats up to Python 3.11, so ``u`` kept every bit. A reverse walk
-that marks slots in a ``seen`` set, instead of the last-use pass,
-measured 1.05x and was not kept.
+One walk over the trace raises at the first step off the coupling and
+keeps the trace's own positive ``(cell, mass)`` pairs, each compared
+with the coupling's entries. Back-substitution runs in plain loops: one
+pass per row finds the owned slot and adds up the fixed witnesses, and
+the last use of each slot sits in one list per axis. A last walk adds up
+each row's witnesses once, for its residual and its rebuilt mass. In a
+traced pass of the benchmark's ``large`` workload (seed 1, 2-core
+machine) certifying its 4,343 rows took 0.017 s, against 0.030 s with a
+per-row ``next()`` over a generator, two ``sum()`` over generators and a
+dict keyed by (axis, state). The witnesses are added in axis order
+starting from int 0, as ``sum()`` adds floats up to Python 3.11, so
+``u`` kept every bit. A reverse walk that marks slots in a ``seen`` set,
+instead of the last-use pass, measured 1.05x and was not kept.
 """
 
 from __future__ import annotations
@@ -92,19 +95,6 @@ class Certificate(Record):
         }
 
 
-def _trace_matches_coupling(
-    positive: list[tuple[tuple[int, ...], float]], coupling: SparseCoupling
-) -> bool:
-    if len(positive) != coupling.num_entries:
-        return False
-    entries = coupling.entries
-    for tup, mass in positive:
-        stored = entries.get(tup)
-        if stored is None or abs(stored - mass) > 1e-12:
-            return False
-    return True
-
-
 def certify_local_optimum(
     coupling: SparseCoupling, trace: GreedyTrace
 ) -> Certificate:
@@ -123,26 +113,30 @@ def certify_local_optimum(
     than ``EPS_CERT`` times itself. Messages name steps by the trace's
     ``iterations``.
     """
-    assignments = trace.assignments
-    positive = [pair for pair in assignments if pair[1] > 0.0]
-    if len(positive) < len(assignments):
-        shape = coupling.cardinalities
-        for iteration, (tup, mass) in zip(trace.iterations, assignments):
-            if mass > 0.0:
-                continue
-            if mass != 0.0 or len(tup) != len(shape) or not all(
-                1 <= state <= card for state, card in zip(tup, shape)
-            ):
-                raise CertificationError(
-                    f"step {iteration} assigns {mass!r} to the cell "
-                    f"{list(tup)}; a step off the coupling assigns 0.0 to a cell "
-                    f"within {list(shape)}"
-                )
+    entries = coupling.entries
+    shape = coupling.cardinalities
+    positive = []
+    matches = True
+    for iteration, pair in zip(trace.iterations, trace.assignments):
+        tup, mass = pair
+        if mass > 0.0:
+            positive.append(pair)
+            stored = entries.get(tup)
+            if stored is None or abs(stored - mass) > 1e-12:
+                matches = False
+        elif mass != 0.0 or len(tup) != len(shape) or not all(
+            1 <= state <= card for state, card in zip(tup, shape)
+        ):
+            raise CertificationError(
+                f"step {iteration} assigns {mass!r} to the cell "
+                f"{list(tup)}; a step off the coupling assigns 0.0 to a cell "
+                f"within {list(shape)}"
+            )
     if not positive:
         raise CertificationError("trace has no positive-mass steps")
-    if not _trace_matches_coupling(positive, coupling):
+    if not matches or len(positive) != coupling.num_entries:
         raise CertificationError("trace does not match the coupling's entries")
-    cards = set(coupling.cardinalities)
+    cards = set(shape)
     if len(cards) != 1:
         raise DimensionError("certification requires equal cardinalities per axis")
     n = cards.pop()
@@ -168,36 +162,38 @@ def certify_local_optimum(
             else:
                 fixed += u[axis][state - 1]
         if owned < 0:
-            numbers = [i for i, (_, mass) in zip(trace.iterations, assignments) if mass > 0.0]
+            numbers = [
+                i for i, (_, mass) in zip(trace.iterations, trace.assignments) if mass > 0.0
+            ]
             raise CertificationError(
                 f"step {numbers[row]} exhausts no slot that later "
                 "steps leave alone; rows may be dependent"
             )
         u[owned][tup[owned] - 1] = rhs[row] - fixed
-    sums = []
-    for tup, _ in positive:
+    squares = []
+    worst = 0.0
+    worst_relative = 0.0
+    for (tup, _), b in zip(positive, rhs):
         total = 0
         for vec, state in zip(u, tup):
             total += vec[state - 1]
-        sums.append(total)
-    raw_residual = math.sqrt(math.fsum([(total - b) ** 2 for total, b in zip(sums, rhs)]))
+        squares.append((total - b) ** 2)
+        mass = entries[tup]
+        # a total this large fails the residual check, which is raised first,
+        # and would overflow the power
+        error = math.inf if total >= 1024.0 else abs(2.0 ** (total - 1.0) - mass)
+        relative = error / mass
+        if error > worst:
+            worst = error
+        if relative > worst_relative:
+            worst_relative = relative
+    raw_residual = math.sqrt(math.fsum(squares))
     residual = raw_residual / max(1.0, math.sqrt(math.fsum([b * b for b in rhs])))
     if residual > EPS_CERT:
         raise CertificationError(
             f"witness system residual {residual:.3e} exceeds {EPS_CERT}",
             residual_norm=residual,
         )
-    worst = 0.0
-    worst_relative = 0.0
-    entries = coupling.entries
-    for (tup, _), total in zip(positive, sums):
-        mass = entries[tup]
-        error = abs(2.0 ** (total - 1.0) - mass)
-        relative = error / mass
-        if error > worst:
-            worst = error
-        if relative > worst_relative:
-            worst_relative = relative
     if worst_relative > EPS_CERT:
         raise CertificationError(
             f"mass reconstruction error {worst_relative:.3e} of the mass exceeds {EPS_CERT}",

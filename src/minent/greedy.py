@@ -22,9 +22,9 @@ A step leaves two things behind: its ``(cell, mass)`` pair and one int
 whose bit ``k`` says the step exhausted its state on axis ``k + 1``. An
 update-loop pair is the coupling's own ``assignment_order`` item, so that
 loop keeps one int per step beyond the coupling; the sweep also keeps its
-zero-mass rounds. :class:`GreedyTrace` holds this record and builds its
+zero-mass rounds. :class:`GreedyTrace` holds this record, and its
 :class:`GreedyStep` objects, each with a frozenset of saturated pairs,
-in one pass the first time ``steps`` is read. Certify, the oracle,
+are built on each read of ``steps`` and not kept. Certify, the oracle,
 ``bound``, ``infer`` and ``couple`` without ``--trace`` never read them.
 Against solvers that built every step in the loop, solving took
 0.67-0.87x (in process, alternating, n = 2000 with m = 2, n = 700 with
@@ -57,7 +57,6 @@ once steps were built only on read). Measured and not kept:
 
 from __future__ import annotations
 
-from functools import cached_property
 from heapq import heapify, heappop, heappushpop
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -91,8 +90,8 @@ class GreedyTrace(Record):
     and is set only by the two-phase solver; when the second phase is
     empty it points just past the last step.
 
-    ``steps`` builds one :class:`GreedyStep` per step from the record on
-    first read and keeps them; nothing in the library reads it.
+    ``steps`` is built on each read, one :class:`GreedyStep` per step from
+    the record; nothing in the library reads it.
     """
 
     assignments: tuple[tuple[tuple[int, ...], float], ...]
@@ -141,7 +140,7 @@ class GreedyTrace(Record):
                 pairs.append((axis, cell[k]))
             yield pairs
 
-    @cached_property
+    @property
     def steps(self) -> tuple[GreedyStep, ...]:
         return tuple([
             GreedyStep(iteration, cell, mass, frozenset(pairs))

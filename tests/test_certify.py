@@ -204,10 +204,15 @@ class TestCertifyLocalOptimum:
     )
     def test_step_off_the_coupling_needs_zero_mass_in_shape(self, tup, mass):
         coupling, trace = greedy_coupling([[0.6, 0.4], [0.5, 0.5]])
-        doctored = GreedyTrace.from_steps(trace.steps + (step(7, tup, mass),))
+        steps = trace.steps
+        # with step 2's mass changed the trace does not match either; the
+        # step off the coupling is still the one reported
+        mismatched = steps[:1] + (steps[1]._replace(mass=0.35),) + steps[2:]
         message = f"^step 7 assigns {re.escape(repr(mass))} to the cell {re.escape(str(list(tup)))}; "
-        with pytest.raises(CertificationError, match=message):
-            certify_local_optimum(coupling, doctored)
+        for kept in (steps, mismatched):
+            doctored = GreedyTrace.from_steps(kept + (step(7, tup, mass),))
+            with pytest.raises(CertificationError, match=message):
+                certify_local_optimum(coupling, doctored)
 
     def test_zero_mass_steps_in_shape_keep_the_certificate(self):
         coupling, trace = greedy_coupling([[0.6, 0.4], [0.5, 0.5]])
@@ -346,6 +351,39 @@ def _doctored_no_owned_slot():
     return SparseCoupling(2, (2, 2), entries), _trace_of_entries(entries)
 
 
+def _doctored_no_owned_slot_and_mass():
+    # the mismatch is reported before the dependent row
+    coupling, trace = _doctored_no_owned_slot()
+    steps = list(trace.steps)
+    steps[2] = steps[2]._replace(mass=0.3)
+    return coupling, GreedyTrace.from_steps(tuple(steps))
+
+
+def _doctored_growing_witnesses(rows=300, m=4):
+    # Cells in the order back-substitution fixes them: after the all-ones
+    # cell, the k-th owns a fresh state on axis k % m and uses the slots the
+    # (k-1)-th and (k-3)-th own, so the witnesses grow about 1.47x a cell.
+    # Rounding leaves totals past 1024: the residual check fails, before any
+    # mass is rebuilt from them.
+    fresh = [2] * m
+    owned = []
+    cells = [(1,) * m]
+    for k in range(rows):
+        cell = [1] * m
+        for earlier in (k - 1, k - 3):
+            if earlier >= 0:
+                axis, state = owned[earlier]
+                cell[axis] = state
+        axis = k % m
+        cell[axis] = fresh[axis]
+        fresh[axis] += 1
+        owned.append((axis, cell[axis]))
+        cells.append(tuple(cell))
+    total = len(cells) * (len(cells) + 1) / 2
+    entries = {cell: (k + 1) / total for k, cell in enumerate(reversed(cells))}
+    return SparseCoupling(m, (max(fresh) - 1,) * m, entries), _trace_of_entries(entries)
+
+
 def _doctored_no_positive_step():
     coupling, trace = greedy_coupling([[0.6, 0.4], [0.5, 0.5]])
     return coupling, GreedyTrace.from_steps(tuple(s._replace(mass=0.0) for s in trace.steps))
@@ -382,7 +420,14 @@ class TestAgainstGeneratorReference:
 
     @pytest.mark.parametrize(
         "doctor",
-        [_doctored_mass, _doctored_no_owned_slot, _doctored_no_positive_step, _doctored_reconstruction],
+        [
+            _doctored_mass,
+            _doctored_no_owned_slot,
+            _doctored_no_owned_slot_and_mass,
+            _doctored_no_positive_step,
+            _doctored_reconstruction,
+            _doctored_growing_witnesses,
+        ],
     )
     def test_same_error_on_doctored_traces(self, doctor):
         coupling, trace = doctor()

@@ -291,7 +291,7 @@ class TestRecordSemantics:
 def test_trace_steps_survive_pickle_and_deepcopy():
     _, trace = greedy_coupling(WORKED)
     steps = trace.steps
-    assert trace.steps is steps
+    assert trace.steps == steps
     for copied in (pickle.loads(pickle.dumps(trace)), copy.deepcopy(trace)):
         assert copied == trace
         assert copied.steps == steps

@@ -9,6 +9,7 @@ last test here runs that script on every other installed Python from
 3.10 on, so the CLI prints the same bytes on each.
 """
 
+import ast
 import glob
 import io
 import os
@@ -123,3 +124,17 @@ def test_replays_on_other_interpreters(version):
     )
     assert done.returncode == 0, done.stdout + done.stderr
     assert f"Python {version}: " in done.stdout
+
+
+def test_library_never_calls_sum():
+    """Library sums are ``+=`` loops or ``math.fsum``: ``sum()`` compensates
+    its floats from Python 3.12 on, so its bits depend on the interpreter.
+    This holds for every line, not only those the transcript reaches."""
+    source = Path(__file__).resolve().parent.parent / "src" / "minent"
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(source.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum"
+    ]
+    assert calls == []

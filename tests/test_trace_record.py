@@ -61,9 +61,10 @@ class TestRecord:
         coupling, trace = greedy_coupling(family)
         assert trace.assignments is coupling.assignment_order
 
-    def test_steps_built_once(self):
+    def test_steps_built_on_each_read_and_not_kept(self):
         _, trace = greedy_coupling_two_phase([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3]])
-        assert trace.steps is trace.steps
+        assert trace.steps == trace.steps
+        assert "steps" not in vars(trace)
         assert trace.positive_steps() == tuple(s for s in trace.steps if s.mass > 0.0)
 
     def test_worked_record(self):
