@@ -113,11 +113,12 @@ def certify_local_optimum(
     than ``EPS_CERT`` times itself. Messages name steps by the trace's
     ``iterations``.
     """
+    assignments = trace.assignments
     entries = coupling.entries
     shape = coupling.cardinalities
     positive = []
     matches = True
-    for iteration, pair in zip(trace.iterations, trace.assignments):
+    for iteration, pair in zip(trace.iterations, assignments):
         tup, mass = pair
         if mass > 0.0:
             positive.append(pair)
@@ -162,9 +163,7 @@ def certify_local_optimum(
             else:
                 fixed += u[axis][state - 1]
         if owned < 0:
-            numbers = [
-                i for i, (_, mass) in zip(trace.iterations, trace.assignments) if mass > 0.0
-            ]
+            numbers = [i for i, (_, mass) in zip(trace.iterations, assignments) if mass > 0.0]
             raise CertificationError(
                 f"step {numbers[row]} exhausts no slot that later "
                 "steps leave alone; rows may be dependent"

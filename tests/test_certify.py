@@ -363,8 +363,8 @@ def _doctored_growing_witnesses(rows=300, m=4):
     # Cells in the order back-substitution fixes them: after the all-ones
     # cell, the k-th owns a fresh state on axis k % m and uses the slots the
     # (k-1)-th and (k-3)-th own, so the witnesses grow about 1.47x a cell.
-    # Rounding leaves totals past 1024: the residual check fails, before any
-    # mass is rebuilt from them.
+    # Rounding leaves totals past 1024, so the residual check fails; a mass
+    # rebuilt from such a total would overflow.
     fresh = [2] * m
     owned = []
     cells = [(1,) * m]
