@@ -109,9 +109,10 @@ def certify_local_optimum(
     coupling, a step off the coupling has a mass other than 0.0 or a
     cell outside the coupling's shape, a step owns no slot (its row would
     depend on later rows), the system residual exceeds ``EPS_CERT``
-    relative to the right-hand side, or any mass reconstructs off by more
-    than ``EPS_CERT`` times itself. Messages name steps by the trace's
-    ``iterations``.
+    relative to the right-hand side or is no finite float (witnesses past
+    the float range; no such number is kept on the error), or any mass
+    reconstructs off by more than ``EPS_CERT`` times itself. Messages
+    name steps by the trace's ``iterations``.
     """
     assignments = trace.assignments
     entries = coupling.entries
@@ -176,7 +177,8 @@ def certify_local_optimum(
         total = 0
         for vec, state in zip(u, tup):
             total += vec[state - 1]
-        squares.append((total - b) ** 2)
+        gap = total - b
+        squares.append(gap * gap)
         mass = entries[tup]
         # a total this large fails the residual check, which is raised first,
         # and would overflow the power
@@ -186,8 +188,15 @@ def certify_local_optimum(
             worst = error
         if relative > worst_relative:
             worst_relative = relative
-    raw_residual = math.sqrt(math.fsum(squares))
+    try:
+        raw_residual = math.sqrt(math.fsum(squares))
+    except OverflowError:
+        # finite squares whose sum passes the float range
+        raw_residual = math.inf
     residual = raw_residual / max(1.0, math.sqrt(math.fsum([b * b for b in rhs])))
+    if not math.isfinite(residual):
+        # witnesses past the float range give an inf or NaN total or square
+        raise CertificationError("witness system residual is not a finite float")
     if residual > EPS_CERT:
         raise CertificationError(
             f"witness system residual {residual:.3e} exceeds {EPS_CERT}",

@@ -56,7 +56,8 @@ class Record:
     """Base of the package's immutable value types.
 
     A subclass annotates its fields in order, and its own ``__init__``
-    validates its arguments and fills ``self.__dict__``. ``repr``, ``==``
+    validates its arguments and fills ``self.__dict__``; a field may
+    instead be a property derived from the stored ones. ``repr``, ``==``
     and ``hash`` run over the fields as a frozen dataclass's do, and
     assigning or deleting an attribute raises AttributeError. Instances
     keep their ``__dict__``, so ``functools.cached_property``, pickle and
@@ -74,7 +75,7 @@ class Record:
         cls._fields = tuple(cls.__annotations__)
 
     def _values(self) -> tuple:
-        return tuple([self.__dict__[name] for name in self._fields])
+        return tuple([getattr(self, name) for name in self._fields])
 
     def __repr__(self) -> str:
         fields = [f"{name}={value!r}" for name, value in zip(self._fields, self._values())]
@@ -170,14 +171,16 @@ class SparseCoupling(Record):
     """A joint distribution over m variables stored as tuple -> mass.
 
     Index tuples are 1-based. Only strictly positive masses are stored;
-    anything at or below ``EPS_ZERO`` is rejected. ``assignment_order``
-    preserves the order in which a solver produced the entries (defaults
-    to the mapping's iteration order).
+    anything at or below ``EPS_ZERO`` is rejected. ``entries`` keep the
+    order a solver assigned them in, which ``assignment_order`` restates
+    as pairs on each read; an order given to the constructor must list
+    each cell once, with its mass, and reorders ``entries``.
     """
 
     num_vars: int
     cardinalities: tuple[int, ...]
     entries: Mapping[tuple[int, ...], float]
+    # a field for repr, == and hash, but read from entries, never stored
     assignment_order: tuple[tuple[tuple[int, ...], float], ...]
 
     def __init__(self, num_vars, cardinalities, entries, assignment_order=()) -> None:
@@ -203,14 +206,18 @@ class SparseCoupling(Record):
         total = math.fsum(entries.values())
         if abs(total - 1.0) > EPS_SUM:
             raise DomainError(f"coupling mass sums to {total!r}, expected 1.0")
-        if not assignment_order:
-            assignment_order = tuple(entries.items())
-        elif {t for t, _ in assignment_order} != set(entries):
-            raise DomainError("assignment order does not cover the coupling support")
-        self.__dict__.update(
-            num_vars=num_vars, cardinalities=cardinalities, entries=entries,
-            assignment_order=assignment_order,
-        )
+        if assignment_order:
+            order = dict(assignment_order)
+            if order.keys() != entries.keys():
+                raise DomainError("assignment order does not cover the coupling support")
+            if len(order) < len(assignment_order) or order != entries:
+                raise DomainError("assignment order must list each cell once, with its mass")
+            entries = {tup: entries[tup] for tup in order}
+        self.__dict__.update(num_vars=num_vars, cardinalities=cardinalities, entries=entries)
+
+    @property
+    def assignment_order(self) -> tuple[tuple[tuple[int, ...], float], ...]:
+        return tuple(self.entries.items())
 
     @property
     def num_entries(self) -> int:

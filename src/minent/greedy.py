@@ -18,14 +18,16 @@ marginal's current top out of its heap: a reduced top goes back with
 ``heappushpop``, which hands over the new top in the same call. Cost:
 O(n*m*log n + steps*m*log n) with ``steps <= n*m - m + 1``.
 
-A step leaves two things behind: its ``(cell, mass)`` pair and one int
-whose bit ``k`` says the step exhausted its state on axis ``k + 1``. An
-update-loop pair is the coupling's own ``assignment_order`` item, so that
-loop keeps one int per step beyond the coupling; the sweep also keeps its
-zero-mass rounds. :class:`GreedyTrace` holds this record, and its
-:class:`GreedyStep` objects, each with a frozenset of saturated pairs,
-are built on each read of ``steps`` and not kept. Certify, the oracle,
-``bound``, ``infer`` and ``couple`` without ``--trace`` never read them.
+A step leaves two things behind: its ``(cell, mass)`` pair, appended to
+the run's one list of pairs, and one int whose bit ``k`` says the step
+exhausted its state on axis ``k + 1``. The coupling's entries are the
+list's positive pairs, in order, and the trace is the whole list, the
+sweep's zero-mass rounds included; a cell met twice among the positive
+pairs is caught once, after both loops. :class:`GreedyTrace` holds this
+record, and its :class:`GreedyStep` objects, each with a frozenset of
+saturated pairs, are built on each read of ``steps`` and not kept.
+Certify, the oracle, ``bound``, ``infer`` and ``couple`` without
+``--trace`` never read them.
 Against solvers that built every step in the loop, solving took
 0.67-0.87x (in process, alternating, n = 2000 with m = 2, n = 700 with
 m = 4 and n = 300 with m = 10, 2-core machine) and 0.85-0.92x on 300
@@ -81,8 +83,8 @@ class GreedyTrace(Record):
     """The ordered steps of one solver run, as the record the solver keeps.
 
     ``assignments`` holds each step's ``(cell, mass)`` pair, the cell a
-    1-based index tuple; the update loop's pairs are the coupling's own
-    ``assignment_order`` items. Bit ``k - 1`` of ``closed[t]`` is set when
+    1-based index tuple; for a solver run its positive pairs, in order,
+    are the coupling's entries. Bit ``k - 1`` of ``closed[t]`` is set when
     step t exhausted its cell's state on axis k. ``iterations`` numbers
     the steps: 1 to k for a solver run, the file's own numbers for a
     trace read back by ``minent certify --trace-in``.
@@ -153,11 +155,7 @@ class GreedyTrace(Record):
         return tuple([s for s in self.steps if s.mass > 0.0])
 
 
-def _sweep(
-    resid: list[list[float]],
-    entries: dict[tuple[int, ...], float],
-    closed: list[int],
-) -> list[tuple[tuple[int, ...], float]]:
+def _sweep(resid: list[list[float]], closed: list[int]) -> list[tuple[tuple[int, ...], float]]:
     """Phase one: round t assigns the minimum of every marginal's t-th largest mass.
 
     Returns every round's ``(cell, mass)`` pair, zero-mass rounds included.
@@ -166,10 +164,6 @@ def _sweep(
     ranks, masses = sorted_sweep(resid)
     pairs = list(zip(zip(*[[j + 1 for j in rank] for rank in ranks]), masses))
     for tup, mass in pairs:
-        if mass > 0.0:
-            if tup in entries:
-                raise RuntimeError(f"greedy solver revisited cell {tup}")
-            entries[tup] = mass
         mask = 0
         for k, (row, state) in enumerate(zip(resid, tup)):
             left = row[state - 1] - mass
@@ -183,9 +177,7 @@ def _sweep(
 
 
 def _update_until_drained(
-    resid: list[list[float]],
-    entries: dict[tuple[int, ...], float],
-    closed: list[int],
+    resid: list[list[float]], pairs: list[tuple[tuple[int, ...], float]], closed: list[int]
 ) -> None:
     """Run pick-max/assign-min rounds until some marginal is exhausted.
 
@@ -213,10 +205,7 @@ def _update_until_drained(
                 f"greedy solver exceeded the {limit}-step bound for n={n}, m={m}"
             )
         mass = -max(negs)
-        tup = tuple(states)
-        if tup in entries:
-            raise RuntimeError(f"greedy solver revisited cell {tup}")
-        entries[tup] = mass
+        pairs.append((tuple(states), mass))
         mask = 0
         for k in axes:
             left = -negs[k] - mass
@@ -242,19 +231,21 @@ def _solve(
         for p in coerce_marginals(marginals)
     ]
     m, n = len(resid), len(resid[0])
-    entries: dict[tuple[int, ...], float] = {}
     closed: list[int] = []
-    swept = _sweep(resid, entries, closed) if sweep else []
-    boundary = len(closed) + 1 if sweep else None
-    _update_until_drained(resid, entries, closed)
-    # entries keeps insertion order, which is the assignment order
+    pairs = _sweep(resid, closed) if sweep else []
+    boundary = len(pairs) + 1 if sweep else None
+    _update_until_drained(resid, pairs, closed)
+    # the coupling is the positive steps in order; the trace is every step
+    positive = [pair for pair in pairs if pair[1] > 0.0]
+    entries = dict(positive)
+    if len(entries) < len(positive):
+        seen = set()
+        for tup, _ in positive:
+            if tup in seen:
+                raise RuntimeError(f"greedy solver revisited cell {tup}")
+            seen.add(tup)
     coupling = SparseCoupling(m, (n,) * m, entries)
-    order = coupling.assignment_order
-    if swept:
-        # every sweep round, zero-mass ones included, then the update loop's
-        updates = len(closed) - len(swept)
-        order = tuple(swept) + order[len(order) - updates :]
-    trace = GreedyTrace(order, tuple(closed), tuple(range(1, len(closed) + 1)), boundary)
+    trace = GreedyTrace(tuple(pairs), tuple(closed), tuple(range(1, len(closed) + 1)), boundary)
     return coupling, trace
 
 

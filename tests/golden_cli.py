@@ -88,6 +88,10 @@ def build_inputs() -> dict[str, str]:
         "pruned.csv": "0.25,0,0.25\n0,0,0\n0.3,0,0.2\n",
         # nested past the depth that any interpreter's JSON parser follows
         "deep.json": '{"marginals": %s}' % ("[" * 100_000 + "]" * 100_000),
+        # 2,000 deep: past the CLI's limit, parsed by 3.13 but not by 3.10-3.12
+        "deep_2000.json": '{"marginals": %s}' % ("[" * 2000 + "]" * 2000),
+        "deep_field.json": '{"marginals": [[0.6, 0.4], [0.5, 0.5]], "note": %s}'
+        % ("[" * 2000 + "]" * 2000),
         "bad_samples.csv": "1,2,3\n",
     }
 
@@ -161,6 +165,8 @@ CASES: list[tuple[list[str], dict]] = [
     (["bound", "empty.csv"], {}),
     (["couple", "missing.json"], {}),
     (["certify", "worked.json", "--trace-in", "worked.json"], {}),
+    (["couple", "deep_2000.json"], {}),
+    (["couple", "deep_field.json"], {}),
     (["couple", "deep.json"], {}),
 ]
 

@@ -452,6 +452,18 @@ class TestAgainstGeneratorReference:
         assert fast == certify_outcome(reference_certify.certify_local_optimum, coupling, doctored)
 
 
+@pytest.mark.parametrize("rows", [1500, 3000])
+def test_witnesses_past_the_float_range_fail_closed(rows):
+    # the squares overflow, their sum overflows, and from 1,900 cells on
+    # the witnesses themselves turn inf and NaN: each must fail as the
+    # residual, with no inf or NaN kept on the error
+    coupling, trace = _doctored_growing_witnesses(rows)
+    with pytest.raises(CertificationError, match="^witness system residual ") as caught:
+        certify_local_optimum(coupling, trace)
+    for value in (caught.value.residual_norm, caught.value.max_reconstruction_error):
+        assert value is None or math.isfinite(value)
+
+
 def _northwest_corner(p, q, rows, cols):
     """The vertex the north-west corner rule builds in the given state orders."""
     a, b = p[rows].copy(), q[cols].copy()

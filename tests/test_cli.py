@@ -11,12 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from minent import EPS_MARG, EPS_ZERO, Marginal, SparseCoupling, marginalize
-from minent.cli import _couple_text, _is_float, _json_text, main
+from minent.cli import _MAX_DEPTH, _couple_text, _is_float, _json_text, main
 from minent.core import coerce_marginals
 from minent.greedy import SOLVERS
 
 from conftest import marginal_families, tied_and_tiny_families
 from reference_cli import couple_payload, reference_json_text
+from test_certify import _doctored_growing_witnesses
 
 
 # the least int magnitude that float() rejects; "1" + HUGE_DIGITS is a
@@ -190,6 +191,25 @@ class TestCertify:
         code, out, _ = run_cli(capsys, "certify", path, "--trace-in", run_file)
         assert code == 3
         assert json.loads(out)["local_optimum_certified"] is False
+
+    @pytest.mark.parametrize("rows", [1500, 3000])
+    def test_witnesses_past_the_float_range_exit_3(self, tmp_path, capsys, rows):
+        # a hand-made run whose witnesses overflow; no NaN or Infinity,
+        # which are not JSON, may reach stdout
+        coupling, trace = _doctored_growing_witnesses(rows)
+        axes = range(1, coupling.num_vars + 1)
+        path = problem_file(tmp_path, [marginalize(coupling, axis) for axis in axes])
+        run_file = write(tmp_path, "run.json", _couple_text(coupling, trace, True))
+        code, out, err = run_cli(capsys, "certify", path, "--trace-in", run_file)
+        assert (code, err) == (3, "")
+        assert json.loads(out, parse_constant=_no_constant) == {
+            "local_optimum_certified": False,
+            "reason": "witness system residual is not a finite float",
+        }
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 def _renumber(steps, numbers):
@@ -935,6 +955,10 @@ DEEP_OBJECT = '{"a": ' * 100_000 + "0" + "}" * 100_000
 DEEP_ERROR = (2, "", "error: JSON input is nested too deeply to parse\n")
 
 
+def _nest(depth):
+    return "[" * depth + "]" * depth
+
+
 class TestDeepNesting:
     """JSON nested too deeply to parse exits 2 with one message, not a traceback."""
 
@@ -962,6 +986,32 @@ class TestDeepNesting:
         path = write(tmp_path, "nested.json", text)
         message = "error: 'marginals' item 1 item 1 is not a number\n"
         assert run_cli(capsys, "couple", path) == (2, "", message)
+
+    # Depths counting the document as 1: the CLI's limit, one past it, and
+    # 700, which every interpreter's parser follows. Each where the shape
+    # check fails on a nested item (marginals), and where it bounds nothing
+    # (an unknown field of the problem file, an unknown key of a trace step).
+    @pytest.mark.parametrize("depth", [_MAX_DEPTH, _MAX_DEPTH + 1, 700])
+    def test_the_cli_limit_holds_on_every_path(self, tmp_path, capsys, depth):
+        past = depth > _MAX_DEPTH
+        path = write(tmp_path, "deep.json", '{"marginals": %s}' % _nest(depth - 1))
+        message = "error: 'marginals' item 1 item 1 is not a number\n"
+        assert run_cli(capsys, "couple", path) == (DEEP_ERROR if past else (2, "", message))
+
+        text = '{"marginals": [[0.6, 0.4], [0.5, 0.5]], "note": %s}' % _nest(depth - 1)
+        path = write(tmp_path, "note.json", text)
+        code, _, err = run_cli(capsys, "couple", path)
+        assert (code, err) == ((2, DEEP_ERROR[2]) if past else (0, ""))
+
+        path = problem_file(tmp_path, [[0.6, 0.4], [0.5, 0.5]])
+        _, out, _ = run_cli(capsys, "couple", path, "--alg", "2", "--trace")
+        expected = run_cli(capsys, "certify", path, "--trace-in", write(tmp_path, "run.json", out))
+        doc = json.loads(out)
+        doc["trace"][0]["note"] = "@"
+        text = json.dumps(doc).replace('"@"', _nest(depth - 3))
+        run_file = write(tmp_path, "noted.json", text)
+        code, out, err = run_cli(capsys, "certify", path, "--trace-in", run_file)
+        assert (code, out, err) == (DEEP_ERROR if past else expected)
 
 
 # masses above EPS_ZERO that 12 significant digits round down to it

@@ -154,6 +154,15 @@ class TestSparseCoupling:
             SparseCoupling(2, (2, 2), entries, (((1, 1), 0.5),))
         with pytest.raises(DomainError, match="does not cover the coupling support"):
             SparseCoupling(2, (2, 2), entries, (((1, 1), 0.5), ((1, 2), 0.5)))
+        # a cell listed twice, and masses other than the entries'
+        with pytest.raises(DomainError, match="list each cell once, with its mass"):
+            SparseCoupling(2, (2, 2), entries, (((1, 1), 0.5), ((2, 2), 0.5), ((1, 1), 0.5)))
+        with pytest.raises(DomainError, match="list each cell once, with its mass"):
+            SparseCoupling(2, (2, 2), entries, (((2, 2), 0.9), ((1, 1), 0.1)))
+        # a valid order reorders the entries
+        coupling = SparseCoupling(2, (2, 2), entries, (((2, 2), 0.5), ((1, 1), 0.5)))
+        assert list(coupling.entries) == [(2, 2), (1, 1)]
+        assert coupling.assignment_order == (((2, 2), 0.5), ((1, 1), 0.5))
 
 
 def records(rows):

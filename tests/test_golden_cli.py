@@ -138,3 +138,18 @@ def test_library_never_calls_sum():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum"
     ]
     assert calls == []
+
+
+def test_only_core_reads_assignment_order():
+    """A coupling stores its entries alone; ``assignment_order`` rebuilds
+    one pair per cell on every read, so the library reads ``entries``
+    and leaves the property to callers outside it."""
+    source = Path(__file__).resolve().parent.parent / "src" / "minent"
+    reads = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(source.glob("*.py"))
+        if path.name != "core.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "assignment_order"
+    ]
+    assert reads == []

@@ -25,6 +25,7 @@ from minent import (
     marginalize,
     special_family,
 )
+from minent import greedy
 from minent.cli import main
 
 from conftest import marginal_families, perturbed_families, tied_and_tiny_families
@@ -138,6 +139,20 @@ class TestErrors:
     def test_single_marginal(self, solver):
         with pytest.raises(DomainError):
             solver([[0.5, 0.5]])
+
+    def test_revisited_cell_is_caught_after_the_loops(self, monkeypatch):
+        # no correct run revisits a cell; a sweep made to repeat one must
+        # fail loudly, naming the cell, before any coupling is built, while
+        # a zero-mass step at a cell the coupling holds is no revisit
+        sweep = greedy._sweep
+
+        def repeating_sweep(resid, closed):
+            pairs = sweep(resid, closed)
+            return pairs + [(pairs[1][0], 0.0), pairs[0]]
+
+        monkeypatch.setattr(greedy, "_sweep", repeating_sweep)
+        with pytest.raises(RuntimeError, match=r"^greedy solver revisited cell \(1, 1\)$"):
+            greedy_coupling_two_phase([[0.6, 0.4], [0.5, 0.5]])
 
 
 class TestSolverInvariants:

@@ -58,8 +58,13 @@ class TestRecord:
     @given(family=FAMILIES)
     @settings(max_examples=40, deadline=None)
     def test_update_loop_shares_the_coupling_pairs(self, family):
-        coupling, trace = greedy_coupling(family)
-        assert trace.assignments is coupling.assignment_order
+        # the coupling stores its entries alone; its order is the trace's
+        # positive steps, by construction
+        for solver in SOLVERS:
+            coupling, trace = solver(family)
+            assert "assignment_order" not in vars(coupling)
+            positive = tuple(pair for pair in trace.assignments if pair[1] > 0.0)
+            assert positive == coupling.assignment_order
 
     def test_steps_built_on_each_read_and_not_kept(self):
         _, trace = greedy_coupling_two_phase([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3]])
