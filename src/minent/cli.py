@@ -195,9 +195,9 @@ def _json_doc(text: str, fields: dict):
     """``json.loads(text)``, rejecting input nested past ``_MAX_DEPTH``.
 
     ``json.loads`` stops at a depth set by the interpreter, the document
-    counting as 1: 989 levels on 3.10 and 3.11 from ``main`` called at
-    the top of a script, fewer under a deeper caller, 1,497 on 3.12 and
-    9,998 on 3.13. A limit of the CLI's own, well below the least of
+    counting as 1: under ``python -m minent``, 986 levels on 3.10 and
+    3.11, fewer under a deeper caller of ``main``, 1,494 on 3.12 and
+    9,995 on 3.13. A limit of the CLI's own, well below the least of
     these, gives every interpreter one outcome and leaves about 490
     frames on 3.10 and 3.11 to whatever calls ``main``; a pytest test
     body runs 33 frames deep.
