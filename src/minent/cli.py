@@ -91,15 +91,13 @@ def _is_integral(value) -> bool:
     return type(value) is int or (type(value) is float and value.is_integer())
 
 
-def _require_shape(value, shape, where: str, level: int = 1) -> None:
+def _require_shape(value, shape, where: str) -> None:
     """Raise DomainError naming ``where`` unless a JSON value has ``shape``.
 
     ``float`` stands for a number that ``float()`` converts, ``int`` for
     a number with no fractional part, ``[s]`` for a list of ``s``,
     ``[s, s]`` for a pair of ``s`` and ``{field: s}`` for an object whose
     fields have ``s``; a field named with a trailing ``?`` may be absent.
-    An object with fields the shape does not name must not nest past
-    ``_MAX_DEPTH``, ``level`` being the lists and objects around ``value``.
     """
     if isinstance(shape, list):
         if not isinstance(value, list):
@@ -111,20 +109,16 @@ def _require_shape(value, shape, where: str, level: int = 1) -> None:
         if shape[0] is int and all(map(_is_integral, value)):
             return
         for k, item in enumerate(value, start=1):
-            _require_shape(item, shape[0], f"{where} item {k}", level + 1)
+            _require_shape(item, shape[0], f"{where} item {k}")
     elif isinstance(shape, dict):
         if not isinstance(value, dict):
             raise DomainError(f"{where} is not an object")
-        found = 0
         for field, inner in shape.items():
             name = field.rstrip("?")
             if name in value:
-                found += 1
-                _require_shape(value[name], inner, f"{where} field {name!r}", level + 1)
+                _require_shape(value[name], inner, f"{where} field {name!r}")
             elif name == field:
                 raise DomainError(f"{where} lacks a {name!r} field")
-        if len(value) > found and _nests_deeper(value, _MAX_DEPTH - level):
-            raise DomainError(_TOO_DEEP)
     elif type(value) not in (int, float):
         raise DomainError(f"{where} is not a number")
     elif shape is int and not _is_integral(value):
@@ -191,7 +185,7 @@ def _nests_deeper(value, limit: int) -> bool:
     return any(type(item) in (list, dict) for item in level)
 
 
-def _json_doc(text: str, fields: dict):
+def _json_doc(text: str):
     """``json.loads(text)``, rejecting input nested past ``_MAX_DEPTH``.
 
     ``json.loads`` stops at a depth set by the interpreter, the document
@@ -200,32 +194,15 @@ def _json_doc(text: str, fields: dict):
     9,995 on 3.13. A limit of the CLI's own, well below the least of
     these, gives every interpreter one outcome and leaves about 490
     frames on 3.10 and 3.11 to whatever calls ``main``; a pytest test
-    body runs 33 frames deep.
-
-    ``fields`` maps the top-level fields a command reads to their
-    ``(shape, where)``. When the document is an object holding them all,
-    ``_require_shape`` checks them, which bounds their depth, and only
-    the other fields are walked: 0.2 ms on an n = 10^4 run file, where
-    walking the whole document takes 0.07 s and the whole reader about
-    0.48 s. Otherwise, and on a shape error, the whole document is
-    walked, and deeper than the limit it is rejected as too deep,
-    whatever else is wrong with it.
+    body runs 33 frames deep. The whole document is walked once, before
+    any shape check, so input deeper than the limit is rejected as too
+    deep whatever else is wrong with it.
     """
     try:
         doc = json.loads(text)
     except RecursionError:
         raise DomainError(_TOO_DEEP) from None
-    rest = doc
-    if type(doc) is dict and doc.keys() >= fields.keys():
-        try:
-            for name, (shape, where) in fields.items():
-                _require_shape(doc[name], shape, where)
-        except DomainError:
-            if _nests_deeper(doc, _MAX_DEPTH):
-                raise DomainError(_TOO_DEEP) from None
-            raise
-        rest = [value for name, value in doc.items() if name not in fields]
-    if _nests_deeper(rest, _MAX_DEPTH):
+    if _nests_deeper(doc, _MAX_DEPTH):
         raise DomainError(_TOO_DEEP)
     return doc
 
@@ -233,10 +210,11 @@ def _json_doc(text: str, fields: dict):
 def _parse_rows(text: str, key: str) -> list[list[float]]:
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        doc = _json_doc(text, {key: ([[float]], repr(key))})
+        doc = _json_doc(text)
         if key not in doc:
             raise DomainError(f"JSON problem file lacks a {key!r} field")
         rows = doc[key]
+        _require_shape(rows, [[float]], repr(key))
     else:
         rows = [
             [_ascii_number(cell, float) for cell in row if cell.strip() != ""]
@@ -328,10 +306,6 @@ def cmd_couple(args: argparse.Namespace) -> int:
 # The layout ``couple --trace`` writes, as ``_require_shape`` reads it.
 _RUN_ENTRIES = [{"indices": [int], "mass": float}]
 _RUN_TRACE = [{"iteration": int, "indices": [int], "mass": float, "saturated?": [[int, int]]}]
-_RUN_FIELDS = {
-    "entries": (_RUN_ENTRIES, "run file 'entries'"),
-    "trace": (_RUN_TRACE, "run file 'trace'"),
-}
 
 
 def _load_run_file(path: str, marginals: tuple[Marginal, ...]):
@@ -339,9 +313,11 @@ def _load_run_file(path: str, marginals: tuple[Marginal, ...]):
 
     At n = 10^4, ``json.loads`` alone outlasts re-solving; checking and
     converting in one walk saved nothing (0.370 s against 0.363 s)."""
-    doc = _json_doc(_read_text(path), _RUN_FIELDS)
+    doc = _json_doc(_read_text(path))
     if not isinstance(doc, dict) or "entries" not in doc or "trace" not in doc:
         raise DomainError("run file needs both 'entries' and 'trace' fields")
+    _require_shape(doc["entries"], _RUN_ENTRIES, "run file 'entries'")
+    _require_shape(doc["trace"], _RUN_TRACE, "run file 'trace'")
     n = len(marginals[0])
     m = len(marginals)
     entries = {}

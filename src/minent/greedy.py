@@ -235,17 +235,18 @@ def _solve(
     pairs = _sweep(resid, closed) if sweep else []
     boundary = len(pairs) + 1 if sweep else None
     _update_until_drained(resid, pairs, closed)
-    # the coupling is the positive steps in order; the trace is every step
-    positive = [pair for pair in pairs if pair[1] > 0.0]
-    entries = dict(positive)
-    if len(entries) < len(positive):
+    # the coupling is the positive steps in order, the trace every step;
+    # the lists are dropped before the coupling's two dicts are built
+    pairs, closed = tuple(pairs), tuple(closed)
+    entries = {tup: mass for tup, mass in pairs if mass > 0.0}
+    if len(entries) < len(pairs) - [mass for _, mass in pairs].count(0.0):
         seen = set()
-        for tup, _ in positive:
+        for tup in [tup for tup, mass in pairs if mass > 0.0]:
             if tup in seen:
                 raise RuntimeError(f"greedy solver revisited cell {tup}")
             seen.add(tup)
     coupling = SparseCoupling(m, (n,) * m, entries)
-    trace = GreedyTrace(tuple(pairs), tuple(closed), tuple(range(1, len(closed) + 1)), boundary)
+    trace = GreedyTrace(pairs, closed, tuple(range(1, len(closed) + 1)), boundary)
     return coupling, trace
 
 
