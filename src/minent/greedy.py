@@ -92,8 +92,11 @@ class GreedyTrace(Record):
     and is set only by the two-phase solver; when the second phase is
     empty it points just past the last step.
 
-    ``steps`` is built on each read, one :class:`GreedyStep` per step from
-    the record; nothing in the library reads it.
+    Both makers write the record directly: the solvers step by step, and
+    the run-file reader of ``certify --trace-in`` in its one pass over
+    the file's steps. ``steps`` is built on each read, one
+    :class:`GreedyStep` per step from the record; nothing in the library
+    reads it.
     """
 
     assignments: tuple[tuple[tuple[int, ...], float], ...]
@@ -106,29 +109,6 @@ class GreedyTrace(Record):
             assignments=assignments, closed=closed, iterations=iterations,
             phase_boundary=phase_boundary,
         )
-
-    @classmethod
-    def from_steps(
-        cls,
-        steps: Iterable[tuple[int, tuple[int, ...], float, Iterable[tuple[int, int]]]],
-        phase_boundary: int | None = None,
-    ) -> GreedyTrace:
-        """The trace of ``(iteration, cell, mass, saturated pairs)`` items,
-        such as :class:`GreedyStep` objects or the steps of a run file.
-
-        The record takes a closed axis's state from the cell, so a pair
-        counts only where it names the cell's own state on an axis.
-        """
-        iterations, assignments, closed = [], [], []
-        for iteration, cell, mass, pairs in steps:
-            mask = 0
-            for axis, state in pairs:
-                if 1 <= axis <= len(cell) and cell[axis - 1] == state:
-                    mask |= 1 << (axis - 1)
-            iterations.append(iteration)
-            assignments.append((cell, mass))
-            closed.append(mask)
-        return cls(tuple(assignments), tuple(closed), tuple(iterations), phase_boundary)
 
     def saturated_pairs(self) -> Iterator[list[tuple[int, int]]]:
         """Each step's exhausted (axis, state) pairs, 1-based, in axis order."""

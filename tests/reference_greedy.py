@@ -11,7 +11,8 @@ and reject the same marginal sets.
 
 The reference solvers keep the ``GreedyStep`` objects they build in a
 ``ReferenceTrace``, so a comparison reads them as built rather than
-through the record a ``GreedyTrace`` keeps.
+through the record a ``GreedyTrace`` keeps. ``trace_from_steps`` goes the
+other way, from steps such as a test writes by hand to that record.
 """
 
 from __future__ import annotations
@@ -20,13 +21,35 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from minent import EPS_ZERO, GreedyStep, Marginal, SparseCoupling
+from minent import EPS_ZERO, GreedyStep, GreedyTrace, Marginal, SparseCoupling
 from minent.core import coerce_marginals
 
 
 class ReferenceTrace(NamedTuple):
     steps: tuple[GreedyStep, ...]
     phase_boundary: int | None
+
+
+def trace_from_steps(
+    steps: Iterable[tuple[int, tuple[int, ...], float, Iterable[tuple[int, int]]]],
+    phase_boundary: int | None = None,
+) -> GreedyTrace:
+    """The trace of ``(iteration, cell, mass, saturated pairs)`` items, such
+    as :class:`GreedyStep` objects.
+
+    The record takes a closed axis's state from the cell, so a pair
+    counts only where it names the cell's own state on an axis.
+    """
+    iterations, assignments, closed = [], [], []
+    for iteration, cell, mass, pairs in steps:
+        mask = 0
+        for axis, state in pairs:
+            if 1 <= axis <= len(cell) and cell[axis - 1] == state:
+                mask |= 1 << (axis - 1)
+        iterations.append(iteration)
+        assignments.append((cell, mass))
+        closed.append(mask)
+    return GreedyTrace(tuple(assignments), tuple(closed), tuple(iterations), phase_boundary)
 
 
 def _coerce_marginals(marginals: Sequence[Marginal | Iterable[float]]) -> np.ndarray:

@@ -14,7 +14,6 @@ from minent import (
     DimensionError,
     DomainError,
     GreedyStep,
-    GreedyTrace,
     SparseCoupling,
     certify_local_optimum,
     extended_entropy,
@@ -25,6 +24,7 @@ from minent import (
 import reference_certify
 from conftest import marginal_families, perturbed_families, tied_and_tiny_families
 from reference_certify import CertificateSystem, build_system, check_last_one_property
+from reference_greedy import trace_from_steps
 
 SOLVERS = [greedy_coupling, greedy_coupling_two_phase]
 
@@ -163,13 +163,13 @@ class TestCertifyLocalOptimum:
             victim.iteration, victim.chosen_tuple, 0.35, victim.saturated_axes
         )
         with pytest.raises(CertificationError):
-            certify_local_optimum(coupling, GreedyTrace.from_steps(tuple(doctored)))
+            certify_local_optimum(coupling, trace_from_steps(tuple(doctored)))
 
     def test_trace_without_exhausted_slots_fails(self):
         # all four cells occupied: every column sees a later 1
         entries = {(1, 1): 0.25, (2, 2): 0.25, (1, 2): 0.25, (2, 1): 0.25}
         coupling = SparseCoupling(2, (2, 2), entries)
-        trace = GreedyTrace.from_steps(
+        trace = trace_from_steps(
             tuple(
                 step(k + 1, tup, mass)
                 for k, (tup, mass) in enumerate(entries.items())
@@ -180,13 +180,13 @@ class TestCertifyLocalOptimum:
 
     def test_trace_with_fewer_steps_than_entries_fails(self):
         coupling = SparseCoupling(2, (2, 2), {(1, 1): 0.5, (2, 2): 0.5})
-        trace = GreedyTrace.from_steps((step(1, (1, 1), 0.5),))
+        trace = trace_from_steps((step(1, (1, 1), 0.5),))
         with pytest.raises(CertificationError, match="does not match"):
             certify_local_optimum(coupling, trace)
 
     def test_unequal_cardinalities_rejected(self):
         coupling = SparseCoupling(2, (2, 3), {(1, 1): 1.0})
-        trace = GreedyTrace.from_steps((step(1, (1, 1), 1.0),))
+        trace = trace_from_steps((step(1, (1, 1), 1.0),))
         with pytest.raises(DimensionError, match="equal cardinalities"):
             certify_local_optimum(coupling, trace)
 
@@ -210,14 +210,14 @@ class TestCertifyLocalOptimum:
         mismatched = steps[:1] + (steps[1]._replace(mass=0.35),) + steps[2:]
         message = f"^step 7 assigns {re.escape(repr(mass))} to the cell {re.escape(str(list(tup)))}; "
         for kept in (steps, mismatched):
-            doctored = GreedyTrace.from_steps(kept + (step(7, tup, mass),))
+            doctored = trace_from_steps(kept + (step(7, tup, mass),))
             with pytest.raises(CertificationError, match=message):
                 certify_local_optimum(coupling, doctored)
 
     def test_zero_mass_steps_in_shape_keep_the_certificate(self):
         coupling, trace = greedy_coupling([[0.6, 0.4], [0.5, 0.5]])
         extra = (step(4, (2, 2), 0.0), step(5, (1, 1), -0.0))
-        doctored = GreedyTrace.from_steps(extra[:1] + trace.steps + extra[1:])
+        doctored = trace_from_steps(extra[:1] + trace.steps + extra[1:])
         assert certify_local_optimum(coupling, doctored) == certify_local_optimum(coupling, trace)
 
     @pytest.mark.parametrize("solver", SOLVERS)
@@ -296,7 +296,7 @@ class TestAgainstDenseReference:
         coupling = SparseCoupling(2, (2, 2), entries)
         traced = dict(entries)
         traced[(2, 1)] = 3.9e-12
-        trace = GreedyTrace.from_steps(
+        trace = trace_from_steps(
             tuple(step(k + 1, tup, mass) for k, (tup, mass) in enumerate(traced.items()))
         )
         with pytest.raises(CertificationError, match="reconstruction") as info:
@@ -333,7 +333,7 @@ def certify_outcome(certify, coupling, trace):
 
 
 def _trace_of_entries(entries):
-    return GreedyTrace.from_steps(
+    return trace_from_steps(
         tuple(step(k + 1, tup, mass) for k, (tup, mass) in enumerate(entries.items()))
     )
 
@@ -342,7 +342,7 @@ def _doctored_mass():
     coupling, trace = greedy_coupling([[0.6, 0.4], [0.5, 0.5]])
     steps = list(trace.steps)
     steps[1] = steps[1]._replace(mass=0.35)
-    return coupling, GreedyTrace.from_steps(tuple(steps))
+    return coupling, trace_from_steps(tuple(steps))
 
 
 def _doctored_no_owned_slot():
@@ -356,7 +356,7 @@ def _doctored_no_owned_slot_and_mass():
     coupling, trace = _doctored_no_owned_slot()
     steps = list(trace.steps)
     steps[2] = steps[2]._replace(mass=0.3)
-    return coupling, GreedyTrace.from_steps(tuple(steps))
+    return coupling, trace_from_steps(tuple(steps))
 
 
 def _doctored_growing_witnesses(rows=300, m=4):
@@ -386,7 +386,7 @@ def _doctored_growing_witnesses(rows=300, m=4):
 
 def _doctored_no_positive_step():
     coupling, trace = greedy_coupling([[0.6, 0.4], [0.5, 0.5]])
-    return coupling, GreedyTrace.from_steps(tuple(s._replace(mass=0.0) for s in trace.steps))
+    return coupling, trace_from_steps(tuple(s._replace(mass=0.0) for s in trace.steps))
 
 
 def _doctored_reconstruction():
@@ -447,7 +447,7 @@ class TestAgainstGeneratorReference:
         steps = list(trace.steps)
         k = victim % len(steps)
         steps[k] = steps[k]._replace(mass=steps[k].mass * factor)
-        doctored = GreedyTrace.from_steps(tuple(steps), trace.phase_boundary)
+        doctored = trace_from_steps(tuple(steps), trace.phase_boundary)
         fast = certify_outcome(certify_local_optimum, coupling, doctored)
         assert fast == certify_outcome(reference_certify.certify_local_optimum, coupling, doctored)
 

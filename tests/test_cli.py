@@ -221,8 +221,10 @@ class TestOddRunFiles:
     """What ``certify --trace-in`` makes of run files ``couple`` never writes.
 
     The certificate is read from the trace's cells and masses in trace
-    order; ``iteration`` values only name steps in messages, and the
-    ``saturated`` pairs are read for their shape alone.
+    order; ``iteration`` values only name steps in messages. Certify
+    uses only the shape of the ``saturated`` pairs: the reader still
+    turns them into the trace's ``closed`` bits, which certify never
+    reads.
     """
 
     @pytest.mark.parametrize(

@@ -153,3 +153,19 @@ def test_only_core_reads_assignment_order():
         if isinstance(node, ast.Attribute) and node.attr == "assignment_order"
     ]
     assert reads == []
+
+
+def test_only_greedy_reads_steps():
+    """The library reads a trace's record, never its steps: ``steps`` and
+    ``positive_steps`` build one ``GreedyStep`` per step on each call, and
+    the run-file reader builds the record itself."""
+    source = Path(__file__).resolve().parent.parent / "src" / "minent"
+    reads = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(source.glob("*.py"))
+        if path.name != "greedy.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("steps", "positive_steps", "from_steps")
+    ]
+    assert reads == []

@@ -11,7 +11,9 @@ import gc
 import io
 import json
 import sys
+import tempfile
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,9 +29,11 @@ from minent import (
     greedy_coupling_two_phase,
     infer_direction,
 )
-from minent.cli import _load_marginals, _load_run_file, main
+from minent.cli import _load_marginals, _load_run_file, _mass_text, main
+from minent.core import coerce_marginals
 
 from conftest import marginal_families, tied_and_tiny_families
+from reference_greedy import trace_from_steps
 
 SOLVERS = [greedy_coupling, greedy_coupling_two_phase]
 FAMILIES = st.one_of(marginal_families(), tied_and_tiny_families())
@@ -51,7 +55,7 @@ class TestRecord:
             assert mask == sum(1 << (axis - 1) for axis, _ in step.saturated_axes)
         positive = [pair for pair in trace.assignments if pair[1] > 0.0]
         assert tuple(positive) == coupling.assignment_order
-        rebuilt = GreedyTrace.from_steps(steps, trace.phase_boundary)
+        rebuilt = trace_from_steps(steps, trace.phase_boundary)
         assert rebuilt == trace
         assert rebuilt.steps == steps
 
@@ -106,6 +110,25 @@ class TestRunFileRecord:
             [tuple(pair) for pair in item["saturated"]] for item in written
         ]
         assert trace.phase_boundary == json.loads(text).get("phase_boundary")
+
+    @pytest.mark.parametrize("alg", ["1", "2"])
+    @given(family=FAMILIES)
+    @settings(max_examples=60, deadline=None)
+    def test_reader_keeps_the_solver_record(self, alg, family):
+        # ties and dust give steps that close several axes, or none
+        _, trace = SOLVERS[int(alg) - 1](family)
+        text = _cli(["couple", "-", "--alg", alg, "--trace"], json.dumps({"marginals": family}))
+        with tempfile.TemporaryDirectory() as tmp:
+            run = Path(tmp) / "run.json"
+            run.write_text(text, encoding="utf-8")
+            _, read = _load_run_file(str(run), coerce_marginals(family))
+        assert read.closed == trace.closed
+        assert read.iterations == trace.iterations
+        assert [cell for cell, _ in read.assignments] == [cell for cell, _ in trace.assignments]
+        assert [mass for _, mass in read.assignments] == [
+            float(_mass_text(mass)) for _, mass in trace.assignments
+        ]
+        assert read.phase_boundary == trace.phase_boundary
 
     def test_reader_drops_pairs_off_the_cell(self, tmp_path):
         problem = tmp_path / "problem.json"
