@@ -115,7 +115,7 @@ class TestRunFileRecord:
     @given(family=FAMILIES)
     @settings(max_examples=60, deadline=None)
     def test_reader_keeps_the_solver_record(self, alg, family):
-        # ties and dust give steps that close several axes, or none
+        # ties and dust give steps that close several axes at once
         _, trace = SOLVERS[int(alg) - 1](family)
         text = _cli(["couple", "-", "--alg", alg, "--trace"], json.dumps({"marginals": family}))
         with tempfile.TemporaryDirectory() as tmp:
