@@ -14,6 +14,33 @@ interleaving of each commutation class; every vertex is still produced by
 its canonical order. Cost still grows combinatorially with n, hence the
 hard size cap.
 
+Each node also has one root, its highest live row, which closes last: a
+cell that closes the root while its column keeps more than ``EPS_ZERO``
+is skipped, unless the root is the only live row. No vertex is lost. A
+vertex's support is a forest, so its cells can be assigned leaves first,
+each closing a line of degree one, and a tree with two or more cells has
+such a line other than its highest row: that row waits for its tree's
+last cell, which closes the row and its column together. The canonical
+interleaving of that order keeps the property, since it only moves a
+cell past a commuting one with a lower code, and the cell that closes a
+higher row has a higher code. Without the rule a vertex was reached by
+any cell of its tree closing last: 40 random n = 4 problems made 1,719
+leaves each for 206 supports when unpruned, and make 335 with it, for
+the same supports. On the benchmark's seed-0 ``oracle`` pass, at the
+incumbent limit, leaves went from 6,150 to 1,268 and walker calls from
+75,327 to 36,226. ``exact_min_entropy_2var`` took 92, 82 and 87 ms on the
+121 problems of seeds 1-3 (181, 145 and 146 ms before), 0.17 s on twelve
+random n = 5 problems (0.54 s), 0.10-0.65 s on each of five random
+n = 6 problems (0.26-1.85 s) and 4.4 s on ``special_family(6, 1.5)``
+(12.2 s): medians of alternating runs, CPU time, 2-core machine. Where
+the totals differ or dust lies near ``EPS_ZERO``, a support that exists
+only through the stranded mass can be skipped; the optimum then moved by
+at most 3.2e-9 bits in 3,000 random inputs with n <= 5. Measured and not
+worth repeating: the lowest live row as the root loses vertices, since
+the canonical interleaving can move the cell that closes it past a cell
+of a lower row and make it close early; ``p = [0.324, 0.676]`` with
+``q = [0.282, 0.718]`` loses the support {(1,2), (2,1), (2,2)}.
+
 :func:`exact_min_entropy_2var` walks that tree by branch-and-bound. It
 starts from the better of the two greedy couplings as the incumbent and
 carries the partial entropy ``sum -x log2 x`` of the cells assigned so
@@ -87,7 +114,7 @@ from .core import (
 )
 from .greedy import SOLVERS
 
-DEFAULT_N_CAP = 5
+DEFAULT_N_CAP = 6
 
 # Slack in bits for pruning against the incumbent and for keeping leaves
 # near the best one. Marginal totals may differ by up to EPS_MARG / 2; the
@@ -118,7 +145,7 @@ def _leaves(
     larger of its two residual entropies exceeds ``limit`` is pruned
     before the call, and a child with no live row or no live column is
     appended as a leaf without one. With ``limit = inf`` every canonical
-    order is walked.
+    order whose root rows close last is walked.
     """
     rows = [0.0 if v <= EPS_ZERO else v for v in pm.probs]
     cols = [0.0 if v <= EPS_ZERO else v for v in qm.probs]
@@ -135,6 +162,7 @@ def _leaves(
         acc: _Candidate, partial: float, h_rows: float, h_cols: float,
     ) -> None:
         prev_code = prev_row * width + prev_col
+        root = live_rows[-1]
         last_row = len(live_rows) == 1
         last_col = len(live_cols) == 1
         for i in live_rows:
@@ -166,6 +194,9 @@ def _leaves(
                     hr = rest_rows
                     col_left = col_mass - row_mass
                     if col_left > EPS_ZERO:
+                        if i == root and not last_row:
+                            # the root row closes only with its column
+                            continue
                         hc = h_cols - h_col - col_left * log2(col_left)
                     else:
                         col_left = 0.0
@@ -212,7 +243,8 @@ def exact_min_entropy_2var(
     """The global minimum entropy coupling of two small marginals.
 
     Ground truth for approximation tests, found by branch-and-bound over
-    the canonical saturating orders. The incumbent is the better of the
+    the canonical saturating orders in which each node's highest live row
+    closes last. The incumbent is the better of the
     two greedy couplings, computed once the marginals pass validation and
     the size cap; a node is pruned when its partial entropy plus
     ``max(h(row residuals), h(column residuals))`` exceeds the incumbent

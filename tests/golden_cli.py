@@ -65,6 +65,7 @@ def build_inputs() -> dict[str, str]:
         "dust_band.json": _marginals([[0.5, 0.499999999999, 1.0000000000004e-12]] * 2),
         "n1.json": _marginals([[1.0], [1.0]]),
         "n6.json": _marginals([[1.0 / 6] * 6] * 2),
+        "n7.json": _marginals([[1.0 / 7] * 7] * 2),
         "negzero.json": '{"marginals": [[0.5, 0.5, -0.0], [0.25, 0.75, 0.0]]}',
         "negzero.csv": "-0.0,1.0\n1.0,-0.0\n",
         "three.json": _marginals([[0.5, 0.5]] * 3),
@@ -134,6 +135,7 @@ CASES: list[tuple[list[str], dict]] = [
     (["bound", "n1.json", "--oracle"], {}),
     (["bound", "negzero.json", "--oracle"], {}),
     (["bound", "n6.json", "--oracle"], {}),
+    (["bound", "n7.json", "--oracle"], {}),
     (["bound", "three.json", "--oracle"], {}),
     (["infer", "joint.csv"], {}),
     (["infer", "joint.csv", "--solver", "alg1", "--margin", "0.1"], {}),

@@ -14,9 +14,12 @@ exactly.
 ``_collect`` and ``_leaves`` here are the library's walker as it was
 before its per-node work was cut and it became a closure in ``_leaves``:
 a module-level function, each node of which tests its own bound, rebuilds
-its live lines and calls ``_h`` and ``_snap``. Tests require
-``oracle._leaves`` to return exactly the same leaf list, in the same
-order, at any limit.
+its live lines and calls ``_h`` and ``_snap``. It applies the library's
+root rule, under which each node's highest live row closes last, and
+tests require ``oracle._leaves`` to return exactly the same leaf list, in
+the same order, at any limit. With ``root_last=False`` it walks every
+canonical order, as the library did before the rule: tests check that
+the rule keeps every support of that walk and only removes its leaves.
 """
 
 from __future__ import annotations
@@ -52,13 +55,16 @@ def _collect(
     partial: float,
     h_rows: float,
     h_cols: float,
+    root_last: bool,
 ) -> None:
     """Append ``(partial entropy, cells)`` for each canonical order's leaf.
 
     ``partial`` is the entropy of the cells in ``acc``; ``h_rows`` and
     ``h_cols`` are the unnormalised entropies of the live residuals. A
     node whose ``partial + max(h_rows, h_cols)`` exceeds ``limit`` is
-    pruned; with ``limit = inf`` every canonical order is walked.
+    pruned; with ``limit = inf`` every canonical order is walked. With
+    ``root_last``, a cell that closes the highest live row while its
+    column keeps mass is skipped unless that row is the only live one.
     """
     if partial + max(h_rows, h_cols) > limit:
         return
@@ -68,6 +74,7 @@ def _collect(
         out.append((partial, tuple(acc)))
         return
     prev_code = prev_row * width + prev_col
+    root = live_rows[-1] if root_last and len(live_rows) > 1 else -1
     for i in live_rows:
         row_mass = rows[i]
         base = i * width
@@ -90,14 +97,19 @@ def _collect(
                 mass, h_mass = row_mass, h_row
             else:
                 mass, h_mass = col_mass, h_col
-            rows[i] = row_left = _snap(row_mass - mass)
-            cols[j] = col_left = _snap(col_mass - mass)
+            row_left = _snap(row_mass - mass)
+            col_left = _snap(col_mass - mass)
+            if i == root and not row_left and col_left:
+                continue
+            rows[i] = row_left
+            cols[j] = col_left
             acc.append((base + j, mass))
             _collect(
                 rows, cols, width, i, j, acc, out, limit,
                 partial + h_mass,
                 h_rows - h_row + _h(row_left),
                 h_cols - h_col + _h(col_left),
+                root_last,
             )
             acc.pop()
             rows[i] = row_mass
@@ -105,15 +117,16 @@ def _collect(
 
 
 def _leaves(
-    pm: Marginal, qm: Marginal, limit: float
+    pm: Marginal, qm: Marginal, limit: float, root_last: bool = True
 ) -> list[tuple[float, _Candidate]]:
-    """Every canonical order's ``(entropy, cells)`` not pruned at ``limit``."""
+    """Every canonical order's ``(entropy, cells)`` not pruned at ``limit``;
+    with ``root_last=False``, also the orders the root rule skips."""
     rows = [_snap(v) for v in pm.probs]
     cols = [_snap(v) for v in qm.probs]
     out: list[tuple[float, _Candidate]] = []
     _collect(
         rows, cols, len(rows), -1, -1, [], out, limit, 0.0,
-        math.fsum(map(_h, rows)), math.fsum(map(_h, cols)),
+        math.fsum(map(_h, rows)), math.fsum(map(_h, cols)), root_last,
     )
     return out
 
@@ -177,8 +190,9 @@ def enumerate_vertices(
 ) -> VertexSet:
     """Enumerate every vertex of the coupling polytope of two marginals.
 
-    Walks every canonical saturating order, with no pruning, and is the
-    reference :func:`exact_min_entropy_2var` is tested against. Raises
+    Walks every canonical saturating order whose root rows close last,
+    with no pruning, and is the reference :func:`exact_min_entropy_2var`
+    is tested against. Raises
     :class:`SizeCapError` above ``oracle.DEFAULT_N_CAP`` states, read at
     call time; the enumeration blows up combinatorially beyond that.
     """

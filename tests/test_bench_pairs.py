@@ -75,6 +75,25 @@ def test_values_keep_six_significant_digits():
     assert medians["instance_p50_s"]["parent_median"] == 3.33333e-05
 
 
+def test_spread_gate_per_side_against_bound_times_median():
+    bounded = [
+        {"name": "instances_per_s", "better": "higher", "bound": 0.25},
+        {"name": "instance_p50_s", "better": "lower", "bound": 1.0},
+    ]
+    spread = bench_pairs.summarize(PAIRS, bounded)["spread"]
+    # rates: quartiles [20, 40] and [20, 41] against 0.25 x 30 and 0.25 x 25
+    assert spread["instances_per_s"] == {
+        "bound": 0.25,
+        "parent": {"q3_minus_q1": 20.0, "limit": 7.5, "inside": False},
+        "change": {"q3_minus_q1": 21.0, "limit": 6.25, "inside": False},
+    }
+    # p50: quartiles [0.2, 0.4] against 1.0 x 0.3, and [0.2, 0.3] against 0.3
+    assert spread["instance_p50_s"]["parent"] == {"q3_minus_q1": 0.2, "limit": 0.3, "inside": True}
+    assert spread["instance_p50_s"]["change"]["inside"]
+    # a metric without a bound has no gate
+    assert bench_pairs.summarize(PAIRS, METRICS)["spread"] == {}
+
+
 @pytest.mark.parametrize("item", ["nosuch", "oracle=1", "oracle=ten"])
 def test_plan_rejects_unknown_workloads_and_single_pairs(item):
     with pytest.raises(SystemExit):

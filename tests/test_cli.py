@@ -318,8 +318,8 @@ class TestBound:
         assert "two marginals" in err
 
     def test_oracle_size_cap_exit_4(self, tmp_path, capsys):
-        sixth = 1.0 / 6
-        path = problem_file(tmp_path, [[sixth] * 6, [sixth] * 6])
+        seventh = 1.0 / 7
+        path = problem_file(tmp_path, [[seventh] * 7, [seventh] * 7])
         code, _, err = run_cli(capsys, "bound", path, "--oracle")
         assert code == 4
         assert "cap" in err
@@ -327,8 +327,8 @@ class TestBound:
     @pytest.mark.parametrize(
         "marginals,code,message",
         [
-            ([[1.0 / 6] * 6] * 2, 4, "n=6 exceeds the enumeration cap 5"),
-            ([[1e-4] * 10**4] * 2, 4, "n=10000 exceeds the enumeration cap 5"),
+            ([[1.0 / 7] * 7] * 2, 4, "n=7 exceeds the enumeration cap 6"),
+            ([[1e-4] * 10**4] * 2, 4, "n=10000 exceeds the enumeration cap 6"),
             ([[0.5, 0.5]] * 3, 2, "--oracle needs exactly two marginals"),
         ],
     )

@@ -107,15 +107,15 @@ class TestEnumerateVertices:
         assert vertex_set.best_entropy == pytest.approx(1.0, abs=1e-12)
 
     def test_size_cap(self):
-        uniform6 = [1.0 / 6] * 6
+        uniform7 = [1.0 / 7] * 7
         with pytest.raises(SizeCapError):
-            enumerate_vertices(uniform6, uniform6)
+            enumerate_vertices(uniform7, uniform7)
 
     def test_size_cap_override(self, monkeypatch):
-        monkeypatch.setattr(oracle, "DEFAULT_N_CAP", 6)
-        uniform6 = [1.0 / 6] * 6
-        vertex_set = enumerate_vertices(uniform6, uniform6)
-        assert vertex_set.best_entropy == pytest.approx(math.log2(6), abs=1e-9)
+        monkeypatch.setattr(oracle, "DEFAULT_N_CAP", 7)
+        uniform7 = [1.0 / 7] * 7
+        vertex_set = enumerate_vertices(uniform7, uniform7)
+        assert vertex_set.best_entropy == pytest.approx(math.log2(7), abs=1e-9)
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
@@ -251,6 +251,86 @@ class TestWalker:
         assert oracle._leaves(*coerce_marginals([[0.5, 0.5], [0.5, 0.5]]), 0.5) == []
 
 
+def closes_root_last(pm, qm, cells):
+    """Whether no step of a leaf's order closes the highest live row while
+    its column keeps mass, unless that row is the only live one.
+
+    Replays the order on the snapped residuals with the walk's arithmetic.
+    """
+    rows = [0.0 if v <= EPS_ZERO else v for v in pm.probs]
+    cols = [0.0 if v <= EPS_ZERO else v for v in qm.probs]
+    width = len(rows)
+    for code, _ in cells:
+        i, j = divmod(code, width)
+        live_rows = [r for r, v in enumerate(rows) if v > 0.0]
+        if rows[i] <= cols[j]:
+            rows[i], cols[j] = 0.0, cols[j] - rows[i]
+            if cols[j] <= EPS_ZERO:
+                cols[j] = 0.0
+            elif i == live_rows[-1] and len(live_rows) > 1:
+                return False
+        else:
+            rows[i], cols[j] = rows[i] - cols[j], 0.0
+            if rows[i] <= EPS_ZERO:
+                rows[i] = 0.0
+    return True
+
+
+class TestRootRule:
+    """The highest live row closes last: the walk skips orders, not vertices."""
+
+    @given(
+        case=two_marginals(1, 4).filter(
+            lambda case: case[1] == 0.0 and min(min(m) for m in case[0]) >= 1e-9
+        )
+    )
+    @example(case=(([0.324, 0.676], [0.282, 0.718]), 0.0))
+    @settings(max_examples=150, deadline=None)
+    def test_reaches_every_support_of_the_rule_free_walk(self, case):
+        # no dust and no shift: each vertex is reached with its root row
+        # closing last. The example loses the support {(1,2), (2,1), (2,2)}
+        # when the lowest live row is the root.
+        pm, qm = coerce_marginals(case[0])
+
+        def supports(root_last):
+            leaves = reference_oracle._leaves(pm, qm, math.inf, root_last)
+            return {tuple(sorted(code for code, _ in cells)) for _, cells in leaves}
+
+        assert supports(True) == supports(False)
+
+    @given(case=two_marginals(1, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_leaves_are_an_ordered_subsequence_of_the_rule_free_walk(self, case):
+        # the rule only removes children: the kept leaves are, bit for bit
+        # and in order, the rule-free walk's leaves whose order closes the
+        # root row last, dust and shifts included
+        (p, q), shift = case
+        pm, qm = coerce_marginals([p, [v * (1.0 + shift) for v in q]])
+        incumbent = min(extended_entropy(solve([pm, qm])[0]) for solve in SOLVERS.values())
+        for limit in (math.inf, incumbent + oracle._SLACK):
+            rule_free = reference_oracle._leaves(pm, qm, limit, False)
+            assert oracle._leaves(pm, qm, limit) == [
+                leaf for leaf in rule_free if closes_root_last(pm, qm, leaf[1])
+            ]
+
+    @given(case=two_marginals(1, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_optimum_within_1e_8_of_the_rule_free_leaves(self, case):
+        # dust and totals apart make supports that only the stranded mass
+        # reaches; the rule may skip them, at a measured cost of up to
+        # 3.2e-9 bits. The rule-free walk at the incumbent limit keeps
+        # every leaf that could be its optimum.
+        (p, q), shift = case
+        pm, qm = coerce_marginals([p, [v * (1.0 + shift) for v in q]])
+        _, best = exact_min_entropy_2var(pm, qm)
+        incumbent = min(extended_entropy(solve([pm, qm])[0]) for solve in SOLVERS.values())
+        rule_free = min(
+            extended_entropy([mass for _, mass in cells])
+            for _, cells in reference_oracle._leaves(pm, qm, incumbent + oracle._SLACK, False)
+        )
+        assert abs(best - rule_free) <= 1e-8
+
+
 class TestBranchAndBound:
     """The pruned search returns exactly the full enumeration's optimum."""
 
@@ -318,10 +398,9 @@ class TestBranchAndBound:
         ],
         ids=["skewed-6", "greedy-gap-6", "spread-6"],
     )
-    def test_six_states(self, monkeypatch, p, q):
-        # beyond the default cap, so no full enumeration to compare with;
-        # each problem takes well under a second
-        monkeypatch.setattr(oracle, "DEFAULT_N_CAP", 6)
+    def test_six_states(self, p, q):
+        # no full enumeration to compare with at n = 6; each problem takes
+        # well under a second
         _, optimum = exact_min_entropy_2var(p, q)
         floor = max(extended_entropy(p), extended_entropy(q))
         achieved = min(
@@ -336,9 +415,9 @@ class TestBranchAndBound:
 
         for name in list(SOLVERS):
             monkeypatch.setitem(SOLVERS, name, unreachable)
-        uniform6 = [1.0 / 6] * 6
-        with pytest.raises(SizeCapError, match="n=6 exceeds the enumeration cap 5"):
-            exact_min_entropy_2var(uniform6, uniform6)
+        uniform7 = [1.0 / 7] * 7
+        with pytest.raises(SizeCapError, match="n=7 exceeds the enumeration cap 6"):
+            exact_min_entropy_2var(uniform7, uniform7)
 
 
 # Compton (ISIT 2022): greedy is within log2(e)/e bits of the optimum for

@@ -19,7 +19,10 @@ without ``--workload`` every workload does.
 
 For each workload and end-to-end metric the file holds both sides'
 medians and quartiles, and how many pairs the change won, where ties
-count for neither side. It also holds each side's failed count and
+count for neither side. For each metric with a ``bound`` it holds each
+side's spread gate under ``spread``: the quartile spread q3 - q1, the
+limit ``bound`` times that side's median, and whether the spread stays
+inside it; a spread outside its limit is also printed. It also holds each side's failed count and
 every pair with a failure; ``parent`` and ``change`` are the runs of
 the median seed. After its pairs, each workload runs once per side with
 ``--trace 1`` on seed 1, parent first, and ``per_layer`` holds both
@@ -106,11 +109,19 @@ def _quartiles(values: list[float]) -> list[float]:
     return [_round(low), _round(high)]
 
 
+def _spread(values: list[float], bound: float) -> dict:
+    """The quartile spread of one side's runs against ``bound`` times their median."""
+    low, _, high = statistics.quantiles(values, n=4, method="inclusive")
+    limit = bound * statistics.median(values)
+    return {"q3_minus_q1": _round(high - low), "limit": _round(limit), "inside": high - low <= limit}
+
+
 def summarize(pairs: list[tuple[int, dict, dict]], metrics: list[dict]) -> dict:
     """One workload's entry from its ``(seed, parent, change)`` results.
 
     ``metrics`` are ``BENCHMARK.json``'s end-to-end entries; a metric's
-    ``better`` field says which direction wins a pair.
+    ``better`` field says which direction wins a pair, and its optional
+    ``bound`` sets the spread gate.
     """
     middle = sorted(pairs, key=lambda pair: pair[0])[(len(pairs) - 1) // 2]
     entry = {
@@ -140,6 +151,7 @@ def summarize(pairs: list[tuple[int, dict, dict]], metrics: list[dict]) -> dict:
             if parent["failed"] or change["failed"]
         ],
         "medians": {},
+        "spread": {},
     }
     for metric in metrics:
         name = metric["name"]
@@ -154,6 +166,12 @@ def summarize(pairs: list[tuple[int, dict, dict]], metrics: list[dict]) -> dict:
             "parent_quartiles": _quartiles(before),
             "change_quartiles": _quartiles(after),
         }
+        if "bound" in metric:
+            entry["spread"][name] = {
+                "bound": metric["bound"],
+                "parent": _spread(before, metric["bound"]),
+                "change": _spread(after, metric["bound"]),
+            }
     return entry
 
 
@@ -237,6 +255,12 @@ def main(argv: list[str] | None = None) -> int:
             keys = ("nproc", "python", "numpy", "cpu")
             out["machine"] = {k: machine[k] for k in keys if k in machine}
             out["workloads"][workload] = summarize(pairs, spec["end_to_end"])
+            for name, gate in out["workloads"][workload]["spread"].items():
+                for side in ("parent", "change"):
+                    if not gate[side]["inside"]:
+                        print(f"{workload} {name} {side}: quartile spread "
+                              f"{gate[side]['q3_minus_q1']:g} over its limit "
+                              f"{gate[side]['limit']:g}", flush=True)
             traced = {
                 side: run_once(trees[side], command, workload, 1, seconds, trace=1)
                 for side in ("parent", "change")
