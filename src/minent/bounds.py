@@ -96,8 +96,8 @@ def bound_report(
     """
     ms = coerce_marginals(marginals, "need at least two marginals for a bound report")
     m = len(ms)
-    ranks, pmin = sorted_sweep([p.probs for p in ms])
-    sorted_ms = tuple(tuple([p.probs[i] for i in rank]) for p, rank in zip(ms, ranks))
+    _, sorted_rows, pmin = sorted_sweep([p.probs for p in ms])
+    sorted_ms = tuple(map(tuple, sorted_rows))
     residuals = tuple(tuple([v - low for v, low in zip(row, pmin)]) for row in sorted_ms)
     total = math.fsum(residuals[0])
     h_res = tuple(extended_entropy(r) for r in residuals)

@@ -28,6 +28,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -167,6 +168,7 @@ def _option_type(convert):
 # document itself counting as 1; see _json_doc.
 _MAX_DEPTH = 500
 _TOO_DEEP = "JSON input is nested too deeply to parse"
+_TOO_LONG = "JSON input holds an integer literal too long to convert"
 
 
 def _nests_deeper(value) -> bool:
@@ -185,6 +187,23 @@ def _nests_deeper(value) -> bool:
     return any(type(item) in (list, dict) for item in level)
 
 
+# A JSON string, closed or running to the end of the text, or a bracket
+_STRING_OR_BRACKET = re.compile(r'"(?:[^"\\]|\\.)*"?|[][{}]')
+
+
+def _deepest(text: str) -> int:
+    """The deepest nesting of lists and objects in JSON text, outside strings."""
+    depth = deepest = 0
+    for token in _STRING_OR_BRACKET.findall(text):
+        if token in ("[", "{"):
+            depth += 1
+            if depth > deepest:
+                deepest = depth
+        elif token in ("]", "}"):
+            depth -= 1
+    return deepest
+
+
 def _json_doc(text: str):
     """``json.loads(text)``, rejecting input nested past ``_MAX_DEPTH``.
 
@@ -196,12 +215,27 @@ def _json_doc(text: str):
     frames on 3.10 and 3.11 to whatever calls ``main``; a pytest test
     body runs 33 frames deep. The whole document is walked once, before
     any shape check, so input deeper than the limit is rejected as too
-    deep whatever else is wrong with it.
+    deep whatever else is wrong with it. Malformed text is too deep when
+    the text the parser read before its error nests past the limit: 3.13
+    follows 2,000 levels to the error where 3.10-3.12 stop, and 600
+    levels parse to the error on all of them. Only a failed parse scans
+    the text: on the 6 MB n = 10^4 run file a scan takes 0.15 s, against
+    0.03 s for the walk of the parsed document (CPU time, 2-core machine).
+
+    An integer literal longer than the interpreter converts (4,300
+    digits by default, with a message that differs between 3.10 and
+    3.11) gets one message of the CLI's own.
     """
     try:
         doc = json.loads(text)
     except RecursionError:
         raise DomainError(_TOO_DEEP) from None
+    except json.JSONDecodeError as exc:
+        if _deepest(text[: exc.pos]) > _MAX_DEPTH:
+            raise DomainError(_TOO_DEEP) from None
+        raise
+    except ValueError:
+        raise DomainError(_TOO_LONG) from None
     if _nests_deeper(doc):
         raise DomainError(_TOO_DEEP)
     return doc

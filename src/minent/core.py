@@ -259,13 +259,13 @@ def extended_entropy(values: MassLike) -> float:
 
 def sorted_sweep(
     rows: Sequence[Sequence[float]],
-) -> tuple[list[list[int]], list[float]]:
-    """Each row's decreasing order and the pointwise minimum of the sorted rows.
+) -> tuple[list[list[int]], list[list[float]], list[float]]:
+    """Each row's decreasing order, the sorted rows and their pointwise minimum.
 
-    ``ranks[j][t]`` is the 0-based state holding row j's t-th largest
-    value; equal values keep state order. ``pointwise_min[t]`` is the
-    smallest of the rows' t-th largest values; of equal smallest values
-    (``0.0`` beside ``-0.0``) the last row's is kept.
+    ``ranks[j][t]`` is the 0-based state of row j's t-th largest value
+    ``sorted_rows[j][t]``; equal values keep state order. ``pointwise_min[t]``
+    is the smallest of the rows' t-th largest values; of equal smallest
+    values (``0.0`` beside ``-0.0``) the last row's is kept.
     """
     # reverse=True keeps the sort stable: equal values stay in state order
     ranks = [
@@ -274,7 +274,7 @@ def sorted_sweep(
     sorted_rows = [[row[i] for i in rank] for row, rank in zip(rows, ranks)]
     # min keeps the first of equal values, so the rows go in reverse
     pointwise_min = list(map(min, zip(*reversed(sorted_rows))))
-    return ranks, pointwise_min
+    return ranks, sorted_rows, pointwise_min
 
 
 def marginalize(coupling: SparseCoupling, axis: int) -> list[float]:

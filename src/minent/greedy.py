@@ -26,8 +26,8 @@ sweep's zero-mass rounds included; a cell met twice among the positive
 pairs is caught once, after both loops. :class:`GreedyTrace` holds this
 record, and its :class:`GreedyStep` objects, each with a frozenset of
 saturated pairs, are built on each read of ``steps`` and not kept.
-Certify, the oracle, ``bound``, ``infer`` and ``couple`` without
-``--trace`` never read them.
+No other module of the library reads them: ``couple --trace`` writes
+each step's pairs from ``saturated_pairs()``.
 Against solvers that built every step in the loop, solving took
 0.67-0.87x (in process, alternating, n = 2000 with m = 2, n = 700 with
 m = 4 and n = 300 with m = 10, 2-core machine) and 0.85-0.92x on 300
@@ -141,7 +141,7 @@ def _sweep(resid: list[list[float]], closed: list[int]) -> list[tuple[tuple[int,
     Returns every round's ``(cell, mass)`` pair, zero-mass rounds included.
     """
     # no state changes before its round, so the masses can be read up front
-    ranks, masses = sorted_sweep(resid)
+    ranks, _, masses = sorted_sweep(resid)
     pairs = list(zip(zip(*[[j + 1 for j in rank] for rank in ranks]), masses))
     for tup, mass in pairs:
         mask = 0

@@ -43,6 +43,7 @@ def build_inputs() -> dict[str, str]:
         return [[float(v) for v in row] for row in rng.dirichlet(np.ones(n), size=m)]
 
     random_2x4 = dirichlet(2, 4)
+    tiny_cells = [((1, 1), 0.5), ((2, 2), 0.399999999997), ((1, 2), 0.1), ((3, 3), 3e-12)]
     shift = 1.0 + 4.9e-10
     return {
         "worked.json": _marginals([[0.6, 0.4], [0.5, 0.5]]),
@@ -93,6 +94,25 @@ def build_inputs() -> dict[str, str]:
         "deep_2000.json": '{"marginals": %s}' % ("[" * 2000 + "]" * 2000),
         "deep_field.json": '{"marginals": [[0.6, 0.4], [0.5, 0.5]], "note": %s}'
         % ("[" * 2000 + "]" * 2000),
+        # malformed past the CLI's limit: 3.13 parses 2,000 levels to the
+        # error where 3.10-3.12 stop, and every interpreter parses 600
+        "deep_bad_600.json": '{"marginals": %s' % ("[" * 600 + "x"),
+        "deep_bad_2000.json": '{"marginals": %s' % ("[" * 2000 + "x"),
+        # 1 and 5,000 zeros: past Python's integer-string conversion limit
+        "long_int.json": '{"marginals": [[1%s, 0.5], [0.5, 0.5]]}' % ("0" * 5000),
+        "tiny.json": _marginals([[0.6, 0.4 - 3e-12, 3e-12], [0.5, 0.5 - 3e-12, 3e-12]]),
+        # what `couple tiny.json --alg 1 --trace` writes, with 8e-13 added to
+        # the tiny step's mass: within the 1e-12 matching tolerance, but
+        # 27 % off the mass in the rebuilt mass
+        "tiny_run.json": json.dumps(
+            {
+                "entries": [{"indices": list(cell), "mass": mass} for cell, mass in tiny_cells],
+                "trace": [
+                    {"iteration": k, "indices": list(cell), "mass": mass + 8e-13 if mass == 3e-12 else mass}
+                    for k, (cell, mass) in enumerate(tiny_cells, start=1)
+                ],
+            }
+        ),
         "bad_samples.csv": "1,2,3\n",
     }
 
@@ -169,6 +189,10 @@ CASES: list[tuple[list[str], dict]] = [
     (["certify", "worked.json", "--trace-in", "worked.json"], {}),
     (["couple", "deep_2000.json"], {}),
     (["couple", "deep_field.json"], {}),
+    (["couple", "deep_bad_600.json"], {}),
+    (["couple", "deep_bad_2000.json"], {}),
+    (["couple", "long_int.json"], {}),
+    (["certify", "tiny.json", "--trace-in", "tiny_run.json"], {}),
     (["couple", "deep.json"], {}),
 ]
 

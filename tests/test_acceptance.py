@@ -31,11 +31,13 @@ from minent import (
 
 from reference_bounds import outer_product_coupling, outer_product_entropy_identity
 from reference_certify import build_system, check_last_one_property
+from test_oracle import SIX_STATE_PROBLEMS
 
 CORPUS_SEED = 20260808
 # (m, n) -> instance count. Criterion 5 checks every two-marginal case with
 # n <= 5 against the exact oracle; its extra n = 5 cases come from their
-# own seed below, so this plan and its draws stay fixed.
+# own seed below and its n = 6 cases from test_oracle, so this plan and its
+# draws stay fixed.
 CORPUS_PLAN = {
     (2, 2): 120, (2, 3): 120, (2, 4): 80, (2, 5): 6, (2, 6): 120,
     (3, 2): 60, (3, 3): 60, (3, 4): 60, (3, 5): 60, (3, 6): 60,
@@ -160,15 +162,18 @@ def test_criterion_5_bound_sandwich(corpus):
         tuple(tuple(float(v) for v in row) for row in rng.dirichlet(np.ones(5), size=2))
         for _ in range(ORACLE_EXTRA_COUNT)
     ]
-    cases = [(instance.marginals, instance.runs) for instance in corpus] + [
-        (marginals, {name: solver(marginals) for name, solver in SOLVERS.items()})
-        for marginals in extra
+    cases = [
+        (instance.marginals, instance.runs, instance.m == 2 and instance.n <= 5)
+        for instance in corpus
+    ] + [
+        (marginals, {name: solver(marginals) for name, solver in SOLVERS.items()}, True)
+        for marginals in extra + SIX_STATE_PROBLEMS
     ]
     oracle_checked = 0
-    for marginals, runs in cases:
+    for marginals, runs, with_oracle in cases:
         rep = bound_report(marginals)
         exact = None
-        if len(marginals) == 2 and len(marginals[0]) <= 5:
+        if with_oracle:
             _, exact = exact_min_entropy_2var(*marginals)
             oracle_checked += 1
         for coupling, _ in runs.values():
@@ -181,7 +186,8 @@ def test_criterion_5_bound_sandwich(corpus):
     report(
         5,
         "bound sandwich",
-        f"{len(cases)} instances, {oracle_checked} with exact optimum",
+        f"{len(cases)} instances, {oracle_checked} with exact optimum, "
+        f"{len(SIX_STATE_PROBLEMS)} of them at n = 6",
     )
 
 

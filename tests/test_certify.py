@@ -11,7 +11,6 @@ from minent import (
     EPS_CERT,
     Certificate,
     CertificationError,
-    DimensionError,
     DomainError,
     GreedyStep,
     SparseCoupling,
@@ -184,11 +183,36 @@ class TestCertifyLocalOptimum:
         with pytest.raises(CertificationError, match="does not match"):
             certify_local_optimum(coupling, trace)
 
-    def test_unequal_cardinalities_rejected(self):
-        coupling = SparseCoupling(2, (2, 3), {(1, 1): 1.0})
-        trace = trace_from_steps((step(1, (1, 1), 1.0),))
-        with pytest.raises(DimensionError, match="equal cardinalities"):
-            certify_local_optimum(coupling, trace)
+    def test_non_square_vertex_coupling_certifies(self):
+        # a spanning tree of the 2x3 grid: (1,1) closes Y=1, (2,2) Y=2,
+        # (1,3) X=1 and (2,3) both X=2 and Y=3
+        entries = {(1, 1): 0.5, (2, 2): 0.3, (1, 3): 0.1, (2, 3): 0.1}
+        coupling = SparseCoupling(2, (2, 3), entries)
+        trace = trace_from_steps(
+            tuple(step(k + 1, tup, mass) for k, (tup, mass) in enumerate(entries.items()))
+        )
+        cert = certify_local_optimum(coupling, trace)
+        assert [len(vec) for vec in cert.u] == [2, 3]
+        assert cert.residual_norm <= EPS_CERT
+        for tup, mass in entries.items():
+            assert abs(rebuilt_mass(cert, tup) - mass) <= EPS_CERT * mass
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    @given(family=marginal_families(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_unequal_cardinalities_match_the_zero_padded_square(self, solver, family, data):
+        # states no cell uses get witness 0, so dropping zero states that
+        # padded the marginals to one length leaves every other bit
+        shape = tuple(len(row) + data.draw(st.integers(0, 2)) for row in family)
+        width = max(shape)
+        coupling, trace = solver([row + [0.0] * (width - len(row)) for row in family])
+        positive = trace_from_steps(trace.positive_steps())
+        u, residual, error = certify_outcome(certify_local_optimum, coupling, positive)
+        unequal = SparseCoupling(len(shape), shape, coupling.entries)
+        assert certify_outcome(certify_local_optimum, unequal, positive) == (
+            [vec[:card] for vec, card in zip(u, shape)], residual, error
+        )
+        assert {v for vec, card in zip(u, shape) for v in vec[card:]} <= {(0.0).hex()}
 
     def test_zero_mass_sweep_rounds_are_ignored(self):
         coupling, trace = greedy_coupling_two_phase([[1.0, 0.0], [1.0, 0.0]])

@@ -24,6 +24,10 @@ from test_certify import _doctored_growing_witnesses
 # 401-digit int far beyond it
 FLOAT_INT_LIMIT = 2**1024 - 2**970
 HUGE_DIGITS = "0" * 400
+# "1" + LONG_DIGITS is past Python's integer-string conversion limit, 4,300
+# digits by default, whose message differs between 3.10 and 3.11
+LONG_DIGITS = "0" * 5000
+TOO_LONG = "JSON input holds an integer literal too long to convert"
 
 
 def write(tmp_path, name, text):
@@ -191,6 +195,25 @@ class TestCertify:
         code, out, _ = run_cli(capsys, "certify", path, "--trace-in", run_file)
         assert code == 3
         assert json.loads(out)["local_optimum_certified"] is False
+
+    def test_reconstruction_error_exit_3_reports_both_diagnostics(self, tmp_path, capsys):
+        # the trace's tiny mass is within the 1e-12 matching tolerance of
+        # the entry's, yet rebuilds 27 % off it
+        marginals = [[0.6, 0.4 - 3e-12, 3e-12], [0.5, 0.5 - 3e-12, 3e-12]]
+        path = problem_file(tmp_path, marginals)
+        _, out, _ = run_cli(capsys, "couple", path, "--alg", "1", "--trace")
+        doc = json.loads(out)
+        (tiny,) = [item for item in doc["trace"] if item["mass"] == 3e-12]
+        tiny["mass"] += 8e-13
+        run_file = write(tmp_path, "run.json", json.dumps(doc))
+        code, out, err = run_cli(capsys, "certify", path, "--trace-in", run_file)
+        assert (code, err) == (3, "")
+        assert json.loads(out) == {
+            "local_optimum_certified": False,
+            "reason": "mass reconstruction error 2.667e-01 of the mass exceeds 1e-08",
+            "residual_norm": 0.0,
+            "max_reconstruction_error": 8e-13,
+        }
 
     @pytest.mark.parametrize("rows", [1500, 3000])
     def test_witnesses_past_the_float_range_exit_3(self, tmp_path, capsys, rows):
@@ -730,6 +753,11 @@ class TestMalformedShapes:
                 "'marginals' item 2 item 2 is too large for a float",
                 id="negative-int-at-limit",
             ),
+            pytest.param(
+                '{"marginals": [[1%s, 0.5], [0.5, 0.5]]}' % LONG_DIGITS,
+                TOO_LONG,
+                id="int-past-conversion-limit",
+            ),
         ],
     )
     def test_marginals_exit_2(self, tmp_path, capsys, command, text, message):
@@ -795,6 +823,13 @@ class TestMalformedShapes:
         path = write(tmp_path, "joint.json", text)
         code, out, err = run_cli(capsys, "infer", path)
         assert (code, out, err) == (2, "", "error: 'joint' item 2 item 2 is too large for a float\n")
+
+    def test_run_file_index_past_the_int_conversion_limit_exit_2(self, tmp_path, capsys):
+        path = problem_file(tmp_path, [[0.6, 0.4], [0.5, 0.5]])
+        text = '{"entries": [{"indices": [1%s, 1], "mass": 1.0}], "trace": []}' % LONG_DIGITS
+        run_file = write(tmp_path, "run.json", text)
+        code, out, err = run_cli(capsys, "certify", path, "--trace-in", run_file)
+        assert (code, out, err) == (2, "", f"error: {TOO_LONG}\n")
 
     def test_float_limit_is_where_float_overflows(self):
         for value in (FLOAT_INT_LIMIT - 1, 1 - FLOAT_INT_LIMIT):
@@ -988,6 +1023,25 @@ class TestDeepNesting:
         path = write(tmp_path, "nested.json", text)
         message = "error: 'marginals' item 1 item 1 is not a number\n"
         assert run_cli(capsys, "couple", path) == (2, "", message)
+
+    # Malformed text, cut off by a non-value after `depth` brackets: the
+    # parser of 3.13 follows 2,000 levels to the error and 600 levels parse
+    # to it on every interpreter, so the text read before the error is
+    # measured. Brackets inside strings before it do not count.
+    @pytest.mark.parametrize("depth", [_MAX_DEPTH - 1, _MAX_DEPTH, 600, 2000])
+    def test_malformed_text_past_the_limit_exit_2(self, tmp_path, capsys, depth):
+        past = depth + 1 > _MAX_DEPTH
+        text = '{"marginals": ' + "[" * depth + "x"
+        path = write(tmp_path, "deep.json", text)
+        column = len(text)
+        message = f"error: Expecting value: line 1 column {column} (char {column - 1})\n"
+        assert run_cli(capsys, "couple", path) == (DEEP_ERROR if past else (2, "", message))
+
+    def test_brackets_in_strings_do_not_nest(self, tmp_path, capsys):
+        text = '{"note": "\\"%s", "marginals": [[x' % ("[" * 600)
+        path = write(tmp_path, "strings.json", text)
+        code, _, err = run_cli(capsys, "couple", path)
+        assert (code, err.startswith("error: Expecting value")) == (2, True)
 
     # Depths counting the document as 1: the CLI's limit, one past it, and
     # 700, which every interpreter's parser follows. Each where the shape

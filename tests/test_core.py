@@ -416,18 +416,20 @@ def signs(values):
 
 class TestSortedSweep:
     def test_worked_example(self):
-        ranks, pmin = sorted_sweep([[0.2, 0.5, 0.3], [0.3, 0.3, 0.4]])
+        ranks, sorted_rows, pmin = sorted_sweep([[0.2, 0.5, 0.3], [0.3, 0.3, 0.4]])
         assert ranks == [[1, 2, 0], [2, 0, 1]]
+        assert sorted_rows == [[0.5, 0.3, 0.2], [0.4, 0.3, 0.3]]
         assert pmin == [0.4, 0.3, 0.2]
 
     def test_ties_keep_state_order(self):
-        ranks, pmin = sorted_sweep([[0.25] * 4, [0.125, 0.375, 0.125, 0.375]])
+        ranks, _, pmin = sorted_sweep([[0.25] * 4, [0.125, 0.375, 0.125, 0.375]])
         assert ranks == [[0, 1, 2, 3], [1, 3, 0, 2]]
         assert pmin == [0.25, 0.25, 0.125, 0.125]
 
     def test_signed_zeros_tie_in_state_order(self):
-        ranks, _ = sorted_sweep([[0.0, -0.0, 1.0, -0.0, 0.0]])
+        ranks, sorted_rows, _ = sorted_sweep([[0.0, -0.0, 1.0, -0.0, 0.0]])
         assert ranks == [[2, 0, 1, 3, 4]]
+        assert signs(sorted_rows[0]) == [1.0, 1.0, -1.0, -1.0, 1.0]
 
     @pytest.mark.parametrize(
         "rows, kept",
@@ -439,23 +441,25 @@ class TestSortedSweep:
         ],
     )
     def test_equal_minima_keep_the_last_row(self, rows, kept):
-        _, pmin = sorted_sweep(rows)
+        _, _, pmin = sorted_sweep(rows)
         assert pmin == [0.5, 0.5, 0.0]
         assert signs(pmin) == [1.0, 1.0, kept]
 
     def test_exact_zeros(self):
-        ranks, pmin = sorted_sweep([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5]])
+        ranks, _, pmin = sorted_sweep([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5]])
         assert ranks == [[1, 0, 2], [0, 2, 1]]
         assert pmin == [0.5, 0.0, 0.0]
 
     @given(family=st.one_of(marginal_families(), tied_and_tiny_families()))
     @settings(max_examples=150, deadline=None)
     def test_matches_sort_decreasing_and_numpy_min(self, family):
-        ranks, pmin = sorted_sweep(family)
+        ranks, swept_rows, pmin = sorted_sweep(family)
         sorted_rows = []
-        for row, rank in zip(family, ranks):
+        for row, rank, swept in zip(family, ranks, swept_rows):
             sorted_p, perm = sort_decreasing(Marginal.of(row))
             assert [i + 1 for i in rank] == list(perm)
+            assert tuple(swept) == sorted_p.probs
+            assert signs(swept) == signs(sorted_p.probs)
             sorted_rows.append(sorted_p.probs)
         expected = np.array(sorted_rows).min(axis=0).tolist()
         assert pmin == expected

@@ -154,6 +154,14 @@ class TestErrors:
         with pytest.raises(RuntimeError, match=r"^greedy solver revisited cell \(1, 1\)$"):
             greedy_coupling_two_phase([[0.6, 0.4], [0.5, 0.5]])
 
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_step_bound_is_enforced(self, monkeypatch, solver):
+        # with no residual ever closing, the update loop would run forever
+        monkeypatch.setattr(greedy, "EPS_ZERO", -1.0)
+        message = r"^greedy solver exceeded the 3-step bound for n=2, m=2$"
+        with pytest.raises(RuntimeError, match=message):
+            solver([[0.6, 0.4], [0.5, 0.5]])
+
 
 class TestSolverInvariants:
     @pytest.mark.parametrize("solver", SOLVERS)

@@ -331,6 +331,14 @@ class TestRootRule:
         assert abs(best - rule_free) <= 1e-8
 
 
+# Fixed n = 6 problems, the oracle's cap; criterion 5 also checks them.
+SIX_STATE_PROBLEMS = [
+    ([0.4, 0.2, 0.15, 0.1, 0.1, 0.05], [0.3, 0.3, 0.2, 0.1, 0.05, 0.05]),
+    ([0.12, 0.04, 0.49, 0.11, 0.11, 0.13], [0.15, 0.11, 0.42, 0.1, 0.07, 0.15]),
+    ([0.02, 0.2, 0.03, 0.42, 0.23, 0.1], [0.03, 0.4, 0.29, 0.11, 0.03, 0.14]),
+]
+
+
 class TestBranchAndBound:
     """The pruned search returns exactly the full enumeration's optimum."""
 
@@ -380,24 +388,7 @@ class TestBranchAndBound:
     def test_fixed_cases(self, p, q):
         assert_same_as_enumeration(p, q)
 
-    @pytest.mark.parametrize(
-        "p,q",
-        [
-            (
-                [0.4, 0.2, 0.15, 0.1, 0.1, 0.05],
-                [0.3, 0.3, 0.2, 0.1, 0.05, 0.05],
-            ),
-            (
-                [0.12, 0.04, 0.49, 0.11, 0.11, 0.13],
-                [0.15, 0.11, 0.42, 0.1, 0.07, 0.15],
-            ),
-            (
-                [0.02, 0.2, 0.03, 0.42, 0.23, 0.1],
-                [0.03, 0.4, 0.29, 0.11, 0.03, 0.14],
-            ),
-        ],
-        ids=["skewed-6", "greedy-gap-6", "spread-6"],
-    )
+    @pytest.mark.parametrize("p,q", SIX_STATE_PROBLEMS, ids=["skewed-6", "greedy-gap-6", "spread-6"])
     def test_six_states(self, p, q):
         # no full enumeration to compare with at n = 6; each problem takes
         # well under a second
