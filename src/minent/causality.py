@@ -48,9 +48,10 @@ Matrix = tuple[tuple[float, ...], ...]
 def _pairwise_sum(values: Sequence[float], start: int = 0, n: int | None = None) -> float:
     """numpy's pairwise sum of ``values[start:start + n]``.
 
-    Below 8 terms it adds them in order from -0.0. Up to 128 it keeps 8
-    accumulators, one per residue mod 8, joins them as
-    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` and adds the tail in order.
+    Below 8 terms it adds them in order from -0.0. Up to 128 it adds the
+    terms of each residue mod 8 in order, up to the tail, joins those 8
+    partial sums as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` and adds the
+    tail in order.
     Above 128 it splits at half the length rounded down to a multiple of
     8 and recurses.
     """
@@ -62,17 +63,14 @@ def _pairwise_sum(values: Sequence[float], start: int = 0, n: int | None = None)
             total += values[i]
         return total
     if n <= 128:
-        r0, r1, r2, r3, r4, r5, r6, r7 = values[start:start + 8]
         end = start + n - n % 8
-        for i in range(start + 8, end, 8):
-            r0 += values[i]
-            r1 += values[i + 1]
-            r2 += values[i + 2]
-            r3 += values[i + 3]
-            r4 += values[i + 4]
-            r5 += values[i + 5]
-            r6 += values[i + 6]
-            r7 += values[i + 7]
+        partial = []
+        for first in range(start, start + 8):
+            total = values[first]
+            for value in values[first + 8:end:8]:
+                total += value
+            partial.append(total)
+        r0, r1, r2, r3, r4, r5, r6, r7 = partial
         total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
         for i in range(end, start + n):
             total += values[i]

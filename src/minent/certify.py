@@ -27,26 +27,25 @@ witnesses at the cell's states)``, and rebuilding every stored mass from
 them checks the solve: each mass must come back within ``EPS_CERT`` of
 itself, relative to the mass.
 
-Certify reads the trace's record, its ``(cell, mass)`` pairs and the
-``iterations`` that name steps in messages, and never builds the
-trace's ``GreedyStep`` objects. A prototype whose certify read
-``steps`` from the record made the benchmark's ``small-corpus``
-workload 4 % slower, since every problem there is certified. The
-closed axes the record also keeps are never read.
+Certify reads the trace's record in place: its ``(cell, mass)`` pairs,
+and the ``iterations`` that name steps in messages. It never builds
+``GreedyStep`` objects, which made ``small-corpus`` 4 % slower in a
+prototype, and never reads the closed axes.
 
-One walk over the trace raises at the first step off the coupling and
-keeps the trace's own positive ``(cell, mass)`` pairs, each compared
-with the coupling's entries. Back-substitution is one backward walk in
-plain loops: a row owns the first axis whose slot no later row has
-marked, then marks all its slots. The marks, like ``u``, are one list
-per axis sized from the coupling's cardinalities, so every shape
-certifies. A last walk adds up each row's witnesses once, for its
-residual and its rebuilt mass. Witnesses are added in axis order from
-int 0, as ``sum()`` adds floats up to Python 3.11, so ``u`` keeps every
-bit. Against a forward pass that first stored each slot's last row, the
-walk took 0.84x on the benchmark's ``large`` and small-corpus certify
-shapes (CPU time in process, 2-core machine); marks in a set keyed by
-(axis, state) tuples, in place of the lists, measured 1.05x.
+It walks the record twice. The forward walk raises at the first step
+off the coupling and compares each positive step with its entry. The
+backward walk owns, solves, rebuilds and measures: a row owns the first
+axis whose slot no later row has marked, then marks all its slots, so
+no earlier row writes a witness it reads and its residual and rebuilt
+mass are final at once; ``math.fsum`` and the maxima ignore the rows'
+order. Witnesses are added in axis order from 0.0, the bits of
+``sum()`` up to Python 3.11, whose int start adds as 0.0; from int 0
+certify took 1.03-1.06x on ``large``. Marks and ``u`` are one list per
+axis, sized from the coupling's cardinalities (marks in a set of (axis,
+state) tuples: 1.05x). Against three walks over a copy of the positive
+pairs, the two took 0.96-1.01x on the benchmark's ``large`` shapes and
+0.91-0.93x on its small-corpus shapes (CPU time in process,
+alternating, 2-core machine).
 """
 
 from __future__ import annotations
@@ -117,12 +116,11 @@ def certify_local_optimum(
     assignments = trace.assignments
     entries = coupling.entries
     shape = coupling.cardinalities
-    positive = []
+    rows = 0
     matches = True
-    for iteration, pair in zip(trace.iterations, assignments):
-        tup, mass = pair
+    for iteration, (tup, mass) in zip(trace.iterations, assignments):
         if mass > 0.0:
-            positive.append(pair)
+            rows += 1
             stored = entries.get(tup)
             if stored is None or abs(stored - mass) > 1e-12:
                 matches = False
@@ -134,21 +132,27 @@ def certify_local_optimum(
                 f"{list(tup)}; a step off the coupling assigns 0.0 to a cell "
                 f"within {list(shape)}"
             )
-    if not positive:
+    if not rows:
         raise CertificationError("trace has no positive-mass steps")
-    if not matches or len(positive) != coupling.num_entries:
+    if not matches or rows != coupling.num_entries:
         raise CertificationError("trace does not match the coupling's entries")
     # Slots come from the tuples, never from the trace's closed axes,
     # so a saved trace cannot claim an exhausted slot it does not have.
     marked = [[False] * card for card in shape]
-    rhs = [math.log2(mass) + 1.0 for _, mass in positive]
     u = [[0.0] * card for card in shape]
-    for row in range(len(positive) - 1, -1, -1):
-        tup = positive[row][0]
+    log2 = math.log2
+    squares = []
+    rhs_squares = []
+    worst = 0.0
+    worst_relative = 0.0
+    for iteration, (tup, mass) in zip(reversed(trace.iterations), reversed(assignments)):
+        if not mass > 0.0:
+            continue
+        b = log2(mass) + 1.0
         # the first axis no later row marked is owned; the others are added
-        # in axis order from int 0
+        # in axis order
         owned = -1
-        fixed = 0
+        fixed = 0.0
         for axis, state in enumerate(tup):
             marks = marked[axis]
             if owned < 0 and not marks[state - 1]:
@@ -157,26 +161,24 @@ def certify_local_optimum(
                 fixed += u[axis][state - 1]
             marks[state - 1] = True
         if owned < 0:
-            numbers = [i for i, (_, mass) in zip(trace.iterations, assignments) if mass > 0.0]
             raise CertificationError(
-                f"step {numbers[row]} exhausts no slot that later "
+                f"step {iteration} exhausts no slot that later "
                 "steps leave alone; rows may be dependent"
             )
-        u[owned][tup[owned] - 1] = rhs[row] - fixed
-    squares = []
-    worst = 0.0
-    worst_relative = 0.0
-    for (tup, _), b in zip(positive, rhs):
-        total = 0
+        u[owned][tup[owned] - 1] = b - fixed
+        # every slot of the row is marked now, so no earlier row writes a
+        # witness it reads: its residual and rebuilt mass are final
+        total = 0.0
         for vec, state in zip(u, tup):
             total += vec[state - 1]
         gap = total - b
         squares.append(gap * gap)
-        mass = entries[tup]
+        rhs_squares.append(b * b)
+        stored = entries[tup]
         # a total this large fails the residual check, which is raised first,
         # and would overflow the power
-        error = math.inf if total >= 1024.0 else abs(2.0 ** (total - 1.0) - mass)
-        relative = error / mass
+        error = math.inf if total >= 1024.0 else abs(2.0 ** (total - 1.0) - stored)
+        relative = error / stored
         if error > worst:
             worst = error
         if relative > worst_relative:
@@ -186,7 +188,7 @@ def certify_local_optimum(
     except OverflowError:
         # finite squares whose sum passes the float range
         raw_residual = math.inf
-    residual = raw_residual / max(1.0, math.sqrt(math.fsum([b * b for b in rhs])))
+    residual = raw_residual / max(1.0, math.sqrt(math.fsum(rhs_squares)))
     if not math.isfinite(residual):
         # witnesses past the float range give an inf or NaN total or square
         raise CertificationError("witness system residual is not a finite float")

@@ -128,10 +128,11 @@ def _require_shape(value, shape, where: str) -> None:
         raise DomainError(f"{where} is too large for a float")
 
 
-# What float() and int() say of a string that is no number
+# What float() and int() say of a string that is no number; int() cuts
+# the quoted text at 200 characters
 _NOT_A_NUMBER = {
     float: "could not convert string to float: {!r}",
-    int: "invalid literal for int() with base 10: {!r}",
+    int: "invalid literal for int() with base 10: {!r:.200}",
 }
 
 
@@ -438,6 +439,27 @@ def cmd_bound(args: argparse.Namespace) -> int:
     return 0
 
 
+_LONG_LABEL = "sample label is an integer too long to convert"
+_INT_LITERAL = re.compile(r"[+-]?[0-9]+")
+
+
+def _sample_label(cell: str) -> int:
+    """``_ascii_number(cell, int)``, with one message of the CLI's own for
+    an integer past the interpreter's integer-string limit.
+
+    The limit is 4,300 digits by default, and its message differs between
+    3.10 and 3.11. 3.10 and 3.11 also give it for a long run of digits
+    followed by a non-digit, where 3.12 and 3.13 give int()'s message for
+    text that is no number, as every interpreter does here.
+    """
+    try:
+        return _ascii_number(cell, int)
+    except ValueError:
+        if _INT_LITERAL.fullmatch(cell.strip()):
+            raise DomainError(_LONG_LABEL) from None
+        raise ValueError(_NOT_A_NUMBER[int].format(cell)) from None
+
+
 def _load_samples(text: str) -> list[tuple[int, int]]:
     pairs = []
     for row in csv.reader(io.StringIO(text)):
@@ -446,7 +468,7 @@ def _load_samples(text: str) -> list[tuple[int, int]]:
             continue
         if len(cells) != 2:
             raise DomainError(f"sample row needs two values, got {row!r}")
-        pairs.append((_ascii_number(cells[0], int), _ascii_number(cells[1], int)))
+        pairs.append((_sample_label(cells[0]), _sample_label(cells[1])))
     if not pairs:
         raise DomainError("no samples in input")
     return pairs

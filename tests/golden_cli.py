@@ -113,6 +113,9 @@ def build_inputs() -> dict[str, str]:
                 ],
             }
         ),
+        # a first sample label of 1 and 5,000 zeros: past Python's
+        # integer-string conversion limit
+        "long_label.csv": "1%s,1\n2,2\n" % ("0" * 5000),
         "bad_samples.csv": "1,2,3\n",
     }
 
@@ -193,6 +196,7 @@ CASES: list[tuple[list[str], dict]] = [
     (["couple", "deep_bad_2000.json"], {}),
     (["couple", "long_int.json"], {}),
     (["certify", "tiny.json", "--trace-in", "tiny_run.json"], {}),
+    (["infer", "long_label.csv", "--samples"], {}),
     (["couple", "deep.json"], {}),
 ]
 

@@ -8,10 +8,12 @@ instances so the expensive solver and oracle work happens once.
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -271,6 +273,9 @@ def test_criterion_9_cli_byte_determinism(tmp_path):
         ["infer", str(joint), "--solver", "alg2"],
         ["generate", "--family", "random", "--n", "4", "--m", "3", "--seed", "11"],
     ]
+    # the checkout's package, whatever minent the environment resolves
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     for command in commands:
         outputs = []
         for _ in range(2):
@@ -278,6 +283,7 @@ def test_criterion_9_cli_byte_determinism(tmp_path):
                 [sys.executable, "-m", "minent", *command],
                 capture_output=True,
                 check=True,
+                env=env,
             )
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1], f"non-deterministic output: {command}"

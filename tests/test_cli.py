@@ -603,6 +603,23 @@ class TestStrictCsvNumbers:
         assert (code, out) == (2, "")
         assert err == f"error: invalid literal for int() with base 10: {cell!r}\n"
 
+    def test_long_sample_label_exit_2(self, tmp_path, capsys):
+        path = write(tmp_path, "samples.csv", f"1{LONG_DIGITS},1\n2,2\n")
+        message = "error: sample label is an integer too long to convert\n"
+        assert run_cli(capsys, "infer", path, "--samples") == (2, "", message)
+        # the same digits and a letter are no number, which 3.10 and 3.11
+        # word as past the limit; int() quotes 200 characters of the text
+        path = write(tmp_path, "samples.csv", f" -1{LONG_DIGITS}x,1\n2,2\n")
+        message = "error: invalid literal for int() with base 10: ' -1" + "0" * 196 + "\n"
+        assert run_cli(capsys, "infer", path, "--samples") == (2, "", message)
+
+    def test_long_option_integer_is_argparse_words(self, capsys):
+        seed = f"1{LONG_DIGITS}"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["generate", "--family", "random", "--n", "3", "--seed", seed])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: argument --seed: invalid int value: {seed!r}\n")
+
     def test_ascii_cells_read_as_before(self, tmp_path, capsys):
         plain = write(tmp_path, "plain.csv", "0.25,0.75\n0.5,0.5\n")
         padded = write(tmp_path, "padded.csv", " 0.25 ,\t0.75\n+0.5,5e-1\n")
@@ -1036,6 +1053,14 @@ class TestDeepNesting:
         column = len(text)
         message = f"error: Expecting value: line 1 column {column} (char {column - 1})\n"
         assert run_cli(capsys, "couple", path) == (DEEP_ERROR if past else (2, "", message))
+
+    def test_closed_lists_do_not_nest(self, tmp_path, capsys):
+        # 600 sibling lists, each closed before the next opens: the text
+        # read before the error nests 3 deep, not 602
+        text = '{"marginals": [' + "[0.5]," * 600 + "x"
+        path = write(tmp_path, "siblings.json", text)
+        message = "error: Expecting value: line 1 column 3616 (char 3615)\n"
+        assert run_cli(capsys, "couple", path) == (2, "", message)
 
     def test_brackets_in_strings_do_not_nest(self, tmp_path, capsys):
         text = '{"note": "\\"%s", "marginals": [[x' % ("[" * 600)

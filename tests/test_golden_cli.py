@@ -24,6 +24,7 @@ import pytest
 from minent import cli
 from minent.cli import _json_text, main
 
+from golden_cli import CASES, build_inputs
 from reference_cli import couple_payload, reference_json_text
 from replay_golden import GOLDEN, expected, replay, write_inputs
 
@@ -80,6 +81,17 @@ def test_covers_every_subcommand_and_solver():
         }
         assert algs == {"1", "2"}, command
     assert {case["code"] for case in GOLDEN["cases"]} == {0, 2, 3, 4}
+
+
+def test_writer_and_transcript_agree():
+    """``golden_cli.py`` holds the transcript's inputs and cases, in order:
+    each case is added to both by hand, and the writer would record them."""
+    assert list(build_inputs().items()) == list(GOLDEN["inputs"].items())
+    recorded = [
+        (case["argv"], {key: case[key] for key in ("stdin", "save") if key in case})
+        for case in GOLDEN["cases"]
+    ]
+    assert recorded == CASES
 
 
 def other_interpreters() -> dict[str, str]:
