@@ -16,18 +16,22 @@ both scores then equal H(X) + H(Y) by construction.
 
 The module needs no numpy: importing it cost more than the whole test on
 the joints of a few hundred cells that ``minent infer`` reads. The joint
-is a tuple of row tuples of floats, summed in plain loops that follow
-numpy's order rather than ``math.fsum``, so reports match the numpy form
-of this module (``tests/reference_causality.py``) bit for bit; with
-fsum over half of them moved in their last bits. A row, a column or the
-whole joint is summed as numpy's pairwise sum (``_pairwise_sum``), and
-the marginal of Y adds the rows left to right, as ``sum(axis=0)`` does.
-The sums are ``+=`` loops because ``sum()`` compensates its floats from
-Python 3.12 on.
+is a tuple of row tuples of floats, and it is summed by two rules. The
+total that is checked against 1 is a ``math.fsum``, as ``Marginal`` and
+``SparseCoupling`` check theirs. Every marginal (a row's total, a
+column's total, and so p(X) and p(Y)) is added in order, from the first
+state to the last, and each is computed once: the conditionals of Y given
+X divide by p(X) and those of X given Y by p(Y). A row of a joint is a
+column of its transpose, added in the same order, so transposing a joint
+swaps its two scores exactly. The numpy form of this module,
+``tests/reference_causality.py``, sums by the same rules, and its reports
+equal these bit for bit. The sums are ``+=`` loops because ``sum()``
+compensates its floats from Python 3.12 on.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Sequence
 
 from .core import (
@@ -45,47 +49,19 @@ from .greedy import SOLVERS
 Matrix = tuple[tuple[float, ...], ...]
 
 
-def _pairwise_sum(values: Sequence[float], start: int = 0, n: int | None = None) -> float:
-    """numpy's pairwise sum of ``values[start:start + n]``.
-
-    Below 8 terms it adds them in order from -0.0. Up to 128 it adds the
-    terms of each residue mod 8 in order, up to the tail, joins those 8
-    partial sums as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` and adds the
-    tail in order.
-    Above 128 it splits at half the length rounded down to a multiple of
-    8 and recurses.
-    """
-    if n is None:
-        n = len(values)
-    if n < 8:
+def _row_sums(joint: Sequence[Sequence[float]]) -> list[float]:
+    """Each row's total, its entries added left to right."""
+    sums = []
+    for row in joint:
         total = -0.0
-        for i in range(start, start + n):
-            total += values[i]
-        return total
-    if n <= 128:
-        end = start + n - n % 8
-        partial = []
-        for first in range(start, start + 8):
-            total = values[first]
-            for value in values[first + 8:end:8]:
-                total += value
-            partial.append(total)
-        r0, r1, r2, r3, r4, r5, r6, r7 = partial
-        total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-        for i in range(end, start + n):
-            total += values[i]
-        return total
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(values, start, half) + _pairwise_sum(values, start + half, n - half)
+        for value in row:
+            total += value
+        sums.append(total)
+    return sums
 
 
 def _column_sums(joint: Sequence[Sequence[float]]) -> list[float]:
-    """numpy's ``sum(axis=0)``: rows added left to right.
-
-    numpy sums a single column pairwise instead; that total is only
-    compared with ``EPS_ZERO`` here, which either order passes alike.
-    """
+    """Each column's total, its entries added top to bottom."""
     sums = list(joint[0])
     for row in joint[1:]:
         for j, value in enumerate(row):
@@ -117,10 +93,12 @@ class JointObservation(Record):
     """An observed joint distribution of two discrete variables.
 
     Rows index the states of X, columns the states of Y; ``joint`` is a
-    tuple of row tuples. States that were never observed (all-zero rows
-    or columns) are pruned on construction, and ``row_labels`` /
-    ``col_labels`` are the record of it: the 1-based indices of the
-    matrix's surviving rows and columns, or the observed sample values.
+    tuple of row tuples. States that were never observed (rows or
+    columns with at most ``EPS_ZERO``) are pruned on construction, pass
+    after pass until every kept state carries mass in the kept joint;
+    ``row_labels`` / ``col_labels`` are the record of it: the 1-based
+    indices of the matrix's surviving rows and columns, or the observed
+    sample values.
     """
 
     joint: Matrix
@@ -140,13 +118,21 @@ class JointObservation(Record):
         low = min(map(min, rows))
         if low < 0.0:
             raise DomainError(f"negative probability {low!r} in joint")
-        total = _pairwise_sum([v for row in rows for v in row])
+        total = math.fsum(v for row in rows for v in row)
         if abs(total - 1.0) > EPS_SUM:
             raise DomainError(f"joint sums to {total!r}, expected 1.0")
-        keep_rows = [i for i, row in enumerate(rows) if _pairwise_sum(row) > EPS_ZERO]
-        keep_cols = [j for j, s in enumerate(_column_sums(rows)) if s > EPS_ZERO]
+        # dropping rows can empty a kept column and the reverse, so prune
+        # again until every kept row and column carries mass
+        keep_rows, keep_cols, joint = range(len(rows)), range(len(rows[0])), rows
+        while True:
+            rows_left = [i for i, s in zip(keep_rows, _row_sums(joint)) if s > EPS_ZERO]
+            cols_left = [j for j, s in zip(keep_cols, _column_sums(joint)) if s > EPS_ZERO]
+            if len(rows_left) == len(keep_rows) and len(cols_left) == len(keep_cols):
+                break
+            keep_rows, keep_cols = rows_left, cols_left
+            joint = [[rows[i][j] for j in keep_cols] for i in keep_rows]
         return cls(
-            tuple(tuple(rows[i][j] for j in keep_cols) for i in keep_rows),
+            tuple(map(tuple, joint)),
             tuple(i + 1 for i in keep_rows),
             tuple(j + 1 for j in keep_cols),
         )
@@ -220,7 +206,9 @@ def _exogenous_entropy(
 
     It upper-bounds their minimum joint entropy, which is itself
     achievable as the entropy of an exogenous input independent of the
-    conditioning variable. No total is zero: observations are pruned.
+    conditioning variable. No total is zero: ``from_matrix`` keeps only
+    rows and columns with more than ``EPS_ZERO`` in the kept joint, and
+    ``from_samples`` only states that were observed.
     """
     coupling, _ = solve(
         [Marginal.of(v / total for v in row) for row, total in zip(slices, totals)]
@@ -264,14 +252,12 @@ def infer_direction(
         names = " or ".join(map(repr, SOLVERS))
         raise DomainError(f"unknown solver {solver!r}; use {names}")
     solve = SOLVERS[solver]
-    p_x = [_pairwise_sum(row) for row in obs.joint]
+    p_x = _row_sums(obs.joint)
     p_y = _column_sums(obs.joint)
     h_x = extended_entropy(p_x)
     h_y = extended_entropy(p_y)
     exo_xy = _exogenous_entropy(obs.joint, p_x, solve)
-    # each column by its own pairwise sum, not by p_y: its bits differ
-    columns = tuple(zip(*obs.joint))
-    exo_yx = _exogenous_entropy(columns, map(_pairwise_sum, columns), solve)
+    exo_yx = _exogenous_entropy(zip(*obs.joint), p_y, solve)
     score_xy = h_x + exo_xy
     score_yx = h_y + exo_yx
     if score_xy + margin < score_yx:

@@ -42,7 +42,20 @@ def build_inputs() -> dict[str, str]:
     def dirichlet(m, n):
         return [[float(v) for v in row] for row in rng.dirichlet(np.ones(n), size=m)]
 
+    def planted(n_x, n_y):
+        """X -> Y through a random mechanism of X and a two-state input."""
+        local = np.random.default_rng(39)
+        p_x = local.dirichlet(np.ones(n_x))
+        p_e = local.dirichlet(np.ones(2))
+        mechanism = local.integers(0, n_y, size=(n_x, 2))
+        joint = np.zeros((n_x, n_y))
+        for x in range(n_x):
+            for e in range(2):
+                joint[x, mechanism[x, e]] += p_x[x] * p_e[e]
+        return joint
+
     random_2x4 = dirichlet(2, 4)
+    planted_9x8 = planted(9, 8)
     tiny_cells = [((1, 1), 0.5), ((2, 2), 0.399999999997), ((1, 2), 0.1), ((3, 3), 3e-12)]
     shift = 1.0 + 4.9e-10
     return {
@@ -116,6 +129,11 @@ def build_inputs() -> dict[str, str]:
         # a first sample label of 1 and 5,000 zeros: past Python's
         # integer-string conversion limit
         "long_label.csv": "1%s,1\n2,2\n" % ("0" * 5000),
+        # dropping rows 3 and 4 leaves column 3 with no mass: pruned twice
+        "pruned_twice.csv": "0.3,0.2,0\n0.2,0.2999999999988,0\n0,0,6e-13\n0,0,6e-13\n",
+        # 8 or more states per axis, and the transpose: the reports swap
+        "planted_9x8.json": json.dumps({"joint": planted_9x8.tolist()}),
+        "planted_8x9.json": json.dumps({"joint": planted_9x8.T.tolist()}),
         "bad_samples.csv": "1,2,3\n",
     }
 
@@ -197,6 +215,9 @@ CASES: list[tuple[list[str], dict]] = [
     (["couple", "long_int.json"], {}),
     (["certify", "tiny.json", "--trace-in", "tiny_run.json"], {}),
     (["infer", "long_label.csv", "--samples"], {}),
+    (["infer", "pruned_twice.csv"], {}),
+    (["infer", "planted_9x8.json"], {}),
+    (["infer", "planted_8x9.json"], {}),
     (["couple", "deep.json"], {}),
 ]
 

@@ -1,19 +1,25 @@
 """Reference causal direction test: the numpy form of ``minent.causality``.
 
 The library keeps the joint as a tuple of row tuples and sums it in plain
-loops that follow numpy's order. This module keeps the numpy code they
-replace, unchanged but for its imports and this docstring. Tests require
-the library to reproduce its reports bit for bit, its labels, joint
-values and warnings, and its exceptions, apart from three messages the
-library words more precisely: joints with one observed state of X or Y,
-ragged matrices, and the value in the negative-entry message. Its
-``conditionals_from_joint`` and ``exogenous_entropy_estimate`` are the
-library's per-direction scores, which ``infer_direction`` computes itself;
-tests that need the conditionals or the estimate take them from here.
+loops. This module keeps the numpy code they replace, unchanged but for
+its imports, this docstring, its sums and its pruning. The sums follow
+the library's two rules: ``math.fsum`` for the total checked against 1,
+and in-order sums for every marginal (``np.cumsum`` along a row,
+``sum(axis=0)`` down the columns), with each conditional divided by its
+variable's marginal. Pruning repeats, as the library's does, until every
+kept row and column carries mass. Tests require the library to reproduce
+its reports bit for bit, its labels, joint values and warnings, and its
+exceptions, apart from three messages the library words more precisely:
+joints with one observed state of X or Y, ragged matrices, and the value
+in the negative-entry message. Its ``conditionals_from_joint`` and
+``exogenous_entropy_estimate`` are the library's per-direction scores,
+which ``infer_direction`` computes itself; tests that need the
+conditionals or the estimate take them from here.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -30,6 +36,11 @@ from minent.core import (
     require_finite,
 )
 from minent.greedy import SOLVERS
+
+
+def row_sums(arr: np.ndarray) -> np.ndarray:
+    """Each row's total, its entries added left to right."""
+    return np.cumsum(arr, axis=1)[:, -1]
 
 
 @dataclass(frozen=True)
@@ -57,7 +68,7 @@ class JointObservation:
             require_finite(row, f"joint row {i}")
         if float(arr.min()) < 0.0:
             raise DomainError(f"negative probability {arr.min()!r} in joint")
-        total = float(arr.sum())
+        total = math.fsum(arr.ravel().tolist())
         if abs(total - 1.0) > EPS_SUM:
             raise DomainError(f"joint sums to {total!r}, expected 1.0")
         return cls._pruned(arr, labels=None)
@@ -80,16 +91,22 @@ class JointObservation:
 
     @classmethod
     def _pruned(cls, arr: np.ndarray, labels) -> "JointObservation":
-        keep_rows = np.flatnonzero(arr.sum(axis=1) > EPS_ZERO)
-        keep_cols = np.flatnonzero(arr.sum(axis=0) > EPS_ZERO)
-        if keep_rows.size == 0 or keep_cols.size == 0:
-            raise DomainError("joint observation carries no mass")
+        keep_rows, keep_cols = np.arange(arr.shape[0]), np.arange(arr.shape[1])
+        while True:
+            sub = arr[np.ix_(keep_rows, keep_cols)]
+            if sub.size == 0:
+                raise DomainError("joint observation carries no mass")
+            rows_left = keep_rows[row_sums(sub) > EPS_ZERO]
+            cols_left = keep_cols[sub.sum(axis=0) > EPS_ZERO]
+            if rows_left.size == keep_rows.size and cols_left.size == keep_cols.size:
+                break
+            keep_rows, keep_cols = rows_left, cols_left
         if keep_rows.size < arr.shape[0] or keep_cols.size < arr.shape[1]:
             warnings.warn(
                 "pruned states with zero observed mass from the joint",
                 stacklevel=3,
             )
-            arr = arr[np.ix_(keep_rows, keep_cols)]
+            arr = sub
         arr = arr.copy()
         arr.setflags(write=False)
         return cls(
@@ -153,12 +170,12 @@ def conditionals_from_joint(
     conditioning states cannot occur because observations are pruned.
     """
     if given_axis == 1:
-        slices = obs.joint
+        slices, totals = obs.joint, row_sums(obs.joint)
     elif given_axis == 2:
-        slices = obs.joint.T
+        slices, totals = obs.joint.T, obs.joint.sum(axis=0)
     else:
         raise DimensionError(f"given_axis must be 1 or 2, got {given_axis}")
-    return [Marginal.of(row / row.sum()) for row in slices]
+    return [Marginal.of(row / total) for row, total in zip(slices, totals)]
 
 
 def exogenous_entropy_estimate(
@@ -193,7 +210,7 @@ def infer_direction(
     require_finite([margin], "margin")
     if margin < 0.0:
         raise DomainError(f"margin must be nonnegative, got {margin}")
-    p_x = obs.joint.sum(axis=1)
+    p_x = row_sums(obs.joint)
     p_y = obs.joint.sum(axis=0)
     h_x = extended_entropy(p_x)
     h_y = extended_entropy(p_y)

@@ -50,6 +50,12 @@ def reference_observation(matrix):
         return reference_causality.JointObservation.from_matrix(matrix)
 
 
+# Dropping rows 3 and 4, each at EPS_ZERO or below, leaves column 3 with
+# no mass, though its 1.2e-12 kept it on the first pass; and transposed.
+EMPTIED_COLUMN = [[0.3, 0.2, 0.0], [0.2, 0.2999999999988, 0.0], [0.0, 0.0, 6e-13], [0.0, 0.0, 6e-13]]
+EMPTIED_ROW = [list(column) for column in zip(*EMPTIED_COLUMN)]
+
+
 class TestJointObservation:
     def test_from_matrix(self):
         obs = JointObservation.from_matrix([[0.3, 0.1], [0.2, 0.4]])
@@ -87,6 +93,19 @@ class TestJointObservation:
         assert rows_pruned.row_labels == (2, 4)
         assert rows_pruned.col_labels == (1, 2)
         assert rows_pruned.joint == ((0.5, 0.2), (0.3, 0.0))
+
+    @pytest.mark.parametrize("matrix", [EMPTIED_COLUMN, EMPTIED_ROW], ids=["rows-empty-a-column", "columns-empty-a-row"])
+    def test_pruning_repeats_until_kept_states_carry_mass(self, matrix):
+        # the first pass keeps the state whose 1.2e-12 lies in the two
+        # states it drops; the second pass drops that state too
+        obs = JointObservation.from_matrix(matrix)
+        assert obs.row_labels == (1, 2) and obs.col_labels == (1, 2)
+        kept = ((0.3, 0.2), (0.2, 0.2999999999988))
+        assert obs.joint == (kept if matrix is EMPTIED_COLUMN else tuple(zip(*kept)))
+        for solver in SOLVERS:
+            report = infer_direction(obs, solver=solver)
+            assert report.verdict == "undecided"
+            assert report.score_x_to_y == report.score_y_to_x
 
     def test_from_samples(self):
         pairs = [(1, 1), (1, 1), (2, 2), (1, 2)]
@@ -364,24 +383,30 @@ class TestInferDirection:
         assert wins > losses
 
 
-# States per axis around numpy's pairwise-sum thresholds: in-order below
-# 8 terms, eight accumulators up to 128, split above.
+# States per axis around numpy's pairwise-sum thresholds (in order below
+# 8 terms, eight accumulators up to 128, split above): the reference's
+# in-order sums must hold their order where numpy's plain sum would not.
 AXIS_SIZES = [1, 2, 3, 7, 8, 9, 16, 129, 131]
 SMALL_AXIS_SIZES = [1, 2, 3, 7, 8, 9]
 
 
 @st.composite
-def joint_matrices(draw):
+def joint_matrices(draw, axis_sizes=None):
     """A joint as a numpy array: planted, random, dyadic, independent or
     nearly independent.
 
     Random and dyadic joints may carry all-zero rows and columns; dyadic
-    ones have many exactly equal cells and sum to exactly 1. At most one
-    axis has more than 16 states, which keeps the solvers quick.
+    ones have many exactly equal cells and sum to exactly 1. Each axis
+    draws its states from ``axis_sizes`` when given; otherwise from
+    ``AXIS_SIZES``, with at most one axis above 16 states, which keeps the
+    solvers quick.
     """
     kind = draw(st.sampled_from(["planted", "random", "dyadic", "independent", "near-independent"]))
-    n_x = draw(st.sampled_from(AXIS_SIZES))
-    n_y = draw(st.sampled_from(AXIS_SIZES if n_x <= 16 else SMALL_AXIS_SIZES))
+    if axis_sizes is None:
+        n_x = draw(st.sampled_from(AXIS_SIZES))
+        n_y = draw(st.sampled_from(AXIS_SIZES if n_x <= 16 else SMALL_AXIS_SIZES))
+    else:
+        n_x, n_y = draw(axis_sizes), draw(axis_sizes)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "planted":
         p_x = rng.dirichlet(np.ones(n_x))
@@ -530,9 +555,38 @@ class TestAgainstReference:
             rows = rows[i]
         self.assert_same(lambda m: m.JointObservation.from_matrix(rows))
 
+    @pytest.mark.parametrize("matrix", [EMPTIED_COLUMN, EMPTIED_ROW], ids=["rows-empty-a-column", "columns-empty-a-row"])
+    def test_same_when_pruning_empties_a_kept_state(self, matrix):
+        self.assert_same(lambda m: m.JointObservation.from_matrix(matrix))
+
     def test_same_on_planted_models(self, rng):
         for n_x in (2, 3, 4, 8, 9):
             for _ in range(20):
                 joint = synthetic_joint(rng, n_x=n_x, n_e=3)
                 rows = joint.tolist()
                 self.assert_same(lambda m: m.JointObservation.from_matrix(rows))
+
+
+MIRRORED = {"XtoY": "YtoX", "YtoX": "XtoY", "undecided": "undecided"}
+
+
+@given(matrix=joint_matrices(st.integers(2, 33)), solver=st.sampled_from(["alg1", "alg2"]),
+       margin=st.sampled_from([0.0, 1e-9]))
+@settings(max_examples=150, deadline=None)
+def test_transposing_swaps_the_scores_exactly(matrix, solver, margin):
+    """A row of the joint is a column of its transpose, summed in the same
+    order, so the transpose's report is the mirror image, bit for bit."""
+    obs = JointObservation.from_matrix(matrix.tolist())
+    flipped = JointObservation.from_matrix(matrix.T.tolist())
+    assert flipped.joint == tuple(zip(*obs.joint))
+    assert (flipped.row_labels, flipped.col_labels) == (obs.col_labels, obs.row_labels)
+    if min(len(obs.joint), len(obs.joint[0])) < 2:
+        return
+    report = infer_direction(obs, margin, solver)
+    mirror = infer_direction(flipped, margin, solver)
+    pairs = [("h_x", "h_y"), ("exo_x_to_y", "exo_y_to_x"), ("score_x_to_y", "score_y_to_x")]
+    for one, other in pairs:
+        assert getattr(mirror, one).hex() == getattr(report, other).hex()
+        assert getattr(mirror, other).hex() == getattr(report, one).hex()
+    assert mirror.verdict == MIRRORED[report.verdict]
+    assert mirror.diagnostic == report.diagnostic

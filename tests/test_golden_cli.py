@@ -12,6 +12,7 @@ last test here runs that script on every other installed Python from
 import ast
 import glob
 import io
+import json
 import os
 import re
 import shutil
@@ -92,6 +93,20 @@ def test_writer_and_transcript_agree():
         for case in GOLDEN["cases"]
     ]
     assert recorded == CASES
+
+
+def test_transposed_joint_swaps_the_report():
+    """``infer`` on a joint of 9x8 states and on its transpose prints
+    mirror images: each marginal is summed in one order on either axis."""
+    report = {
+        case["argv"][1]: json.loads(case["stdout"])
+        for case in GOLDEN["cases"]
+        if case["argv"] in (["infer", "planted_9x8.json"], ["infer", "planted_8x9.json"])
+    }
+    one, other = report["planted_9x8.json"], report["planted_8x9.json"]
+    for x_key, y_key in [("H_X", "H_Y"), ("H_exo_XtoY", "H_exo_YtoX"), ("score_XtoY", "score_YtoX")]:
+        assert (one[x_key], one[y_key]) == (other[y_key], other[x_key])
+    assert (one["verdict"], other["verdict"]) == ("XtoY", "YtoX")
 
 
 def other_interpreters() -> dict[str, str]:
