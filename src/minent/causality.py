@@ -20,9 +20,9 @@ is a tuple of row tuples of floats, and it is summed by two rules. The
 total that is checked against 1 is a ``math.fsum``, as ``Marginal`` and
 ``SparseCoupling`` check theirs. Every marginal (a row's total, a
 column's total, and so p(X) and p(Y)) is added in order, from the first
-state to the last, and each is computed once: the conditionals of Y given
-X divide by p(X) and those of X given Y by p(Y). A row of a joint is a
-column of its transpose, added in the same order, so transposing a joint
+state to the last, by one routine, and each is computed once: the
+conditionals of Y given X divide by p(X) and those of X given Y by p(Y).
+A column's total is a row total of the transpose, so transposing a joint
 swaps its two scores exactly. The numpy form of this module,
 ``tests/reference_causality.py``, sums by the same rules, and its reports
 equal these bit for bit. The sums are ``+=`` loops because ``sum()``
@@ -49,23 +49,17 @@ from .greedy import SOLVERS
 Matrix = tuple[tuple[float, ...], ...]
 
 
-def _row_sums(joint: Sequence[Sequence[float]]) -> list[float]:
-    """Each row's total, its entries added left to right."""
+def _row_sums(joint: Iterable[Iterable[float]]) -> list[float]:
+    """Each row's total, its entries added left to right.
+
+    Column totals are the row totals of the transpose, ``zip(*joint)``.
+    """
     sums = []
     for row in joint:
         total = -0.0
         for value in row:
             total += value
         sums.append(total)
-    return sums
-
-
-def _column_sums(joint: Sequence[Sequence[float]]) -> list[float]:
-    """Each column's total, its entries added top to bottom."""
-    sums = list(joint[0])
-    for row in joint[1:]:
-        for j, value in enumerate(row):
-            sums[j] += value
     return sums
 
 
@@ -126,7 +120,7 @@ class JointObservation(Record):
         keep_rows, keep_cols, joint = range(len(rows)), range(len(rows[0])), rows
         while True:
             rows_left = [i for i, s in zip(keep_rows, _row_sums(joint)) if s > EPS_ZERO]
-            cols_left = [j for j, s in zip(keep_cols, _column_sums(joint)) if s > EPS_ZERO]
+            cols_left = [j for j, s in zip(keep_cols, _row_sums(zip(*joint))) if s > EPS_ZERO]
             if len(rows_left) == len(keep_rows) and len(cols_left) == len(keep_cols):
                 break
             keep_rows, keep_cols = rows_left, cols_left
@@ -253,7 +247,7 @@ def infer_direction(
         raise DomainError(f"unknown solver {solver!r}; use {names}")
     solve = SOLVERS[solver]
     p_x = _row_sums(obs.joint)
-    p_y = _column_sums(obs.joint)
+    p_y = _row_sums(zip(*obs.joint))
     h_x = extended_entropy(p_x)
     h_y = extended_entropy(p_y)
     exo_xy = _exogenous_entropy(obs.joint, p_x, solve)

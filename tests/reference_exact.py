@@ -12,8 +12,10 @@ one.
 
 A pick is a set of ``sum(n_k - 1) + 1`` cells among ``prod(n_k)``:
 70 picks at n = 2, m = 3, 4,368 at n = 2, m = 4, and 888,030 at n = 3,
-m = 3, where one instance takes seconds. Picks are solved in chunks, so
-memory stays small at any size.
+m = 3. Which picks are nonsingular depends only on the shape, so they
+are found once per shape (about 1 s at n = 3, m = 3, where they take
+21 MB), and each problem only solves them (about 0.5 s there). Picks
+are tested and solved in chunks.
 
 At m = 2 a vertex's support is a forest, and every support peels: a cell
 goes when one of its slots has no other live cell, until none is left.
@@ -22,6 +24,7 @@ From m = 3 on, an optimal support need not peel; ``peels`` tells which.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -53,6 +56,27 @@ def constraint_system(marginals: Sequence[Sequence[float]]):
     return cells, np.array(rows), np.array(rhs)
 
 
+@functools.lru_cache(maxsize=None)
+def nonsingular_picks(shape: tuple[int, ...]) -> np.ndarray:
+    """Every pick of cells whose basis is nonsingular, in pick order.
+
+    The equations' left side depends only on the shape, not on the
+    masses, so this is found once per shape and shared by every problem
+    of that shape: 397,629 of the 888,030 picks at n = 3, m = 3.
+    """
+    _, a, b = constraint_system([[1.0] + [0.0] * (card - 1) for card in shape])
+    picks = itertools.combinations(range(a.shape[1]), len(b))
+    kept = []
+    while True:
+        flat = itertools.chain.from_iterable(itertools.islice(picks, CHUNK))
+        chunk = np.fromiter(flat, dtype=np.intp).reshape(-1, len(b))
+        if not len(chunk):
+            break
+        # a 0/1 matrix has an integer determinant: 0, or at least 1 in size
+        kept.append(chunk[np.abs(np.linalg.det(a[:, chunk].transpose(1, 0, 2))) > 0.5])
+    return np.concatenate(kept)
+
+
 def optimum(marginals: Sequence[Sequence[float]]) -> tuple[float, dict[tuple[int, ...], float]]:
     """The least entropy over every vertex, and the first vertex reaching it.
 
@@ -62,19 +86,19 @@ def optimum(marginals: Sequence[Sequence[float]]) -> tuple[float, dict[tuple[int
     cells, a, b = constraint_system(marginals)
     rank = len(b)
     best_entropy, best = math.inf, None
-    picks = itertools.combinations(range(len(cells)), rank)
-    while True:
-        chunk = np.array(list(itertools.islice(picks, CHUNK)), dtype=np.intp)
-        if not len(chunk):
-            break
+    picks = nonsingular_picks(tuple(len(p) for p in marginals))
+    for start in range(0, len(picks), CHUNK):
+        chunk = picks[start:start + CHUNK]
         # bases[k] holds the columns of the cells in pick k
-        bases = a[:, chunk].transpose(1, 0, 2)
-        # a 0/1 matrix has an integer determinant: 0, or at least 1 in size
-        chunk = chunk[np.abs(np.linalg.det(bases)) > 0.5]
         bases = a[:, chunk].transpose(1, 0, 2)
         masses = np.linalg.solve(bases, np.broadcast_to(b, (len(chunk), rank))[..., None])[..., 0]
         feasible = (masses >= -NEGATIVE_TOL).all(axis=1)
-        for pick, x in zip(chunk[feasible], masses[feasible]):
+        chunk, masses = chunk[feasible], masses[feasible]
+        # numpy's entropy is within 1e-14 of the exact one, so a vertex
+        # whose numpy entropy is 1e-9 above the best so far cannot beat it
+        positive = np.where(masses > 0.0, masses, 1.0)
+        near = -(positive * np.log2(positive)).sum(axis=1) <= best_entropy + 1e-9
+        for pick, x in zip(chunk[near], masses[near]):
             vertex = {cells[c]: float(v) for c, v in zip(pick, x) if v > 0.0}
             entropy = extended_entropy(list(vertex.values()))
             if entropy < best_entropy:

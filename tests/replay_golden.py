@@ -10,7 +10,18 @@ Each case runs in process through ``minent.cli.main`` inside a scratch
 directory that holds the transcript's input files. Every mismatch is
 printed, and the exit code is 1 if there is one. Every case replays:
 ``generate --family random`` draws numpy's numbers without numpy.
-``test_golden_cli.py`` replays through the same functions.
+``test_golden_cli.py`` replays through the same functions, and the
+tests that run the CLI in process with its streams swapped call
+``replay`` with an ad hoc case: ``{"argv": [...]}``, plus ``stdin``.
+
+The transcript is the only list of CLI cases; nothing regenerates it.
+A case is added by hand, in the file's own layout (``json.dumps`` with
+``indent=1``): its input text goes into ``inputs`` under a new file
+name, and an object goes into ``cases`` with ``argv``, ``code``,
+``stdout`` and ``stderr`` exactly as ``replay`` returns them, plus
+``stdin`` when the case reads standard input and ``save`` when later
+cases read its stdout as a file of that name. Both go in just before
+the last entry of their list, so that no existing line is edited.
 """
 
 from __future__ import annotations

@@ -1,4 +1,3 @@
-import contextlib
 import io
 import json
 import math
@@ -17,6 +16,7 @@ from minent.greedy import SOLVERS
 
 from conftest import marginal_families, tied_and_tiny_families
 from reference_cli import couple_payload, reference_json_text
+from replay_golden import replay
 from test_certify import _doctored_growing_witnesses
 
 
@@ -1133,12 +1133,6 @@ def dust_band_families(draw):
     return rows
 
 
-def _exit_code(argv):
-    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
-    return code, out.getvalue()
-
-
 class TestCoupleToCertify:
     """Every command accepts what ``couple`` accepts, or all reject it."""
 
@@ -1150,17 +1144,17 @@ class TestCoupleToCertify:
         with tempfile.TemporaryDirectory() as tmp:
             problem = Path(tmp) / "problem.json"
             problem.write_text(json.dumps({"marginals": rows}), encoding="utf-8")
-            code, out = _exit_code(["couple", str(problem), "--alg", alg, "--trace"])
+            code, out, _ = replay({"argv": ["couple", str(problem), "--alg", alg, "--trace"]})
             if code == 2:
                 for argv in (["certify", str(problem)], ["bound", str(problem)]):
-                    assert _exit_code(argv + ["--alg", alg])[0] == 2
+                    assert replay({"argv": argv + ["--alg", alg]})[0] == 2
                 return
             assert code == 0
             run = Path(tmp) / "run.json"
             run.write_text(out, encoding="utf-8")
-            assert _exit_code(["certify", str(problem), "--trace-in", str(run)])[0] == 0
-            assert _exit_code(["certify", str(problem), "--alg", alg])[0] == 0
-            assert _exit_code(["bound", str(problem), "--alg", alg])[0] == 0
+            assert replay({"argv": ["certify", str(problem), "--trace-in", str(run)]})[0] == 0
+            assert replay({"argv": ["certify", str(problem), "--alg", alg]})[0] == 0
+            assert replay({"argv": ["bound", str(problem), "--alg", alg]})[0] == 0
 
 
 json_floats = st.floats() | st.sampled_from(

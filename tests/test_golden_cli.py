@@ -1,17 +1,17 @@
 """Every CLI invocation in ``golden_cli.json`` prints what it printed then.
 
 The transcript holds stdout, stderr and the exit code of each invocation,
-byte for byte, as ``golden_cli.py`` recorded them. A failure here is a
-change of CLI behaviour: fix the code, or state the change; never
-regenerate the transcript to make it pass. The replay itself lives in
-``replay_golden.py``, which also runs as a script without pytest; the
-last test here runs that script on every other installed Python from
-3.10 on, so the CLI prints the same bytes on each.
+byte for byte, as the CLI printed them when the case was added. A
+failure here is a change of CLI behaviour: fix the code, or state the
+change; never regenerate the transcript to make it pass. The replay
+itself lives in ``replay_golden.py``, which also runs as a script
+without pytest and says how a case is added; the last test here runs
+that script on every other installed Python from 3.10 on, so the CLI
+prints the same bytes on each.
 """
 
 import ast
 import glob
-import io
 import json
 import os
 import re
@@ -23,9 +23,8 @@ from pathlib import Path
 import pytest
 
 from minent import cli
-from minent.cli import _json_text, main
+from minent.cli import _json_text
 
-from golden_cli import CASES, build_inputs
 from reference_cli import couple_payload, reference_json_text
 from replay_golden import GOLDEN, expected, replay, write_inputs
 
@@ -48,7 +47,7 @@ def test_replays_byte_for_byte(workdir, case):
 @pytest.mark.parametrize(
     "case", GOLDEN["cases"], ids=[" ".join(case["argv"]) for case in GOLDEN["cases"]]
 )
-def test_writer_matches_reference_on_payload(workdir, capsys, monkeypatch, case):
+def test_writer_matches_reference_on_payload(workdir, monkeypatch, case):
     payloads, couple_runs = [], []
     monkeypatch.setattr(cli, "_emit", payloads.append)
     write_couple = cli._couple_text
@@ -58,9 +57,7 @@ def test_writer_matches_reference_on_payload(workdir, capsys, monkeypatch, case)
         return write_couple(*run)
 
     monkeypatch.setattr(cli, "_couple_text", record_couple)
-    monkeypatch.setattr(sys, "stdin", io.StringIO(case.get("stdin", "")))
-    main(list(case["argv"]))
-    capsys.readouterr()
+    replay(case)
     assert len(payloads) + len(couple_runs) == (case["stdout"] != "")
     for payload in payloads:
         assert _json_text(payload) == reference_json_text(payload)
@@ -82,17 +79,6 @@ def test_covers_every_subcommand_and_solver():
         }
         assert algs == {"1", "2"}, command
     assert {case["code"] for case in GOLDEN["cases"]} == {0, 2, 3, 4}
-
-
-def test_writer_and_transcript_agree():
-    """``golden_cli.py`` holds the transcript's inputs and cases, in order:
-    each case is added to both by hand, and the writer would record them."""
-    assert list(build_inputs().items()) == list(GOLDEN["inputs"].items())
-    recorded = [
-        (case["argv"], {key: case[key] for key in ("stdin", "save") if key in case})
-        for case in GOLDEN["cases"]
-    ]
-    assert recorded == CASES
 
 
 def test_transposed_joint_swaps_the_report():

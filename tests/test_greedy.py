@@ -1,6 +1,4 @@
-import contextlib
 import inspect
-import io
 import json
 import math
 import tempfile
@@ -26,9 +24,9 @@ from minent import (
     special_family,
 )
 from minent import greedy
-from minent.cli import main
 
 from conftest import marginal_families, perturbed_families, tied_and_tiny_families
+from replay_golden import replay
 
 SOLVERS = [greedy_coupling, greedy_coupling_two_phase]
 # each fast solver beside the argmax loop it replaced
@@ -326,14 +324,6 @@ class TestGreedyStepContract:
         )
 
 
-def cli_exit_code(argv):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
-        io.StringIO()
-    ) as err:
-        code = main(argv)
-    return code, err.getvalue()
-
-
 class TestUnequalTotals:
     @given(family=perturbed_families())
     @settings(max_examples=200, deadline=None)
@@ -353,7 +343,7 @@ class TestUnequalTotals:
             path = Path(tmp) / "problem.json"
             path.write_text(json.dumps({"marginals": family}), encoding="utf-8")
             for command in ("couple", "certify", "bound"):
-                code, err = cli_exit_code([command, str(path)])
+                code, _, err = replay({"argv": [command, str(path)]})
                 assert code == 2
                 assert "totals differ" in err
 

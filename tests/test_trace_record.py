@@ -8,9 +8,7 @@ steps.
 """
 
 import gc
-import io
 import json
-import sys
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
@@ -29,11 +27,12 @@ from minent import (
     greedy_coupling_two_phase,
     infer_direction,
 )
-from minent.cli import _load_marginals, _load_run_file, _mass_text, main
+from minent.cli import _load_marginals, _load_run_file, _mass_text
 from minent.core import coerce_marginals
 
 from conftest import marginal_families, tied_and_tiny_families
 from reference_greedy import trace_from_steps
+from replay_golden import replay
 
 SOLVERS = [greedy_coupling, greedy_coupling_two_phase]
 FAMILIES = st.one_of(marginal_families(), tied_and_tiny_families())
@@ -185,15 +184,9 @@ PROBLEM = [[0.5, 0.3, 0.2], [0.25, 0.25, 0.5]]
 
 
 def _cli(argv, stdin=""):
-    out, err = io.StringIO(), io.StringIO()
-    real = sys.stdout, sys.stderr, sys.stdin
-    sys.stdout, sys.stderr, sys.stdin = out, err, io.StringIO(stdin)
-    try:
-        code = main(argv)
-    finally:
-        sys.stdout, sys.stderr, sys.stdin = real
-    assert code == 0, err.getvalue()
-    return out.getvalue()
+    code, out, err = replay({"argv": argv, "stdin": stdin})
+    assert code == 0, err
+    return out
 
 
 class TestHotPathsBuildNoSteps:
