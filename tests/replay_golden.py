@@ -10,9 +10,9 @@ Each case runs in process through ``minent.cli.main`` inside a scratch
 directory that holds the transcript's input files. Every mismatch is
 printed, and the exit code is 1 if there is one. Every case replays:
 ``generate --family random`` draws numpy's numbers without numpy.
-``test_golden_cli.py`` replays through the same functions, and the
-tests that run the CLI in process with its streams swapped call
-``replay`` with an ad hoc case: ``{"argv": [...]}``, plus ``stdin``.
+``test_golden_cli.py`` replays through the same functions, and every
+other test that runs the CLI in process calls ``replay`` with an ad hoc
+case: ``{"argv": [...]}``, plus ``stdin``.
 
 The transcript is the only list of CLI cases; nothing regenerates it.
 A case is added by hand, in the file's own layout (``json.dumps`` with
@@ -51,7 +51,10 @@ def write_inputs(directory: Path) -> None:
 
 
 def replay(case: dict) -> tuple[int, str, str]:
-    """Exit code, stdout and stderr of one case, run in the current directory."""
+    """Exit code, stdout and stderr of one case, run in the current directory.
+
+    An argparse exit gives the code the process would exit with.
+    """
     from minent.cli import main
 
     out, err = io.StringIO(), io.StringIO()
@@ -60,6 +63,8 @@ def replay(case: dict) -> tuple[int, str, str]:
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(list(case["argv"]))
+    except SystemExit as exc:
+        code = exc.code
     finally:
         sys.stdin = stdin
     return code, out.getvalue(), err.getvalue()

@@ -1,4 +1,3 @@
-import io
 import json
 import math
 import sys
@@ -9,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from minent import EPS_MARG, EPS_ZERO, Marginal, SparseCoupling, marginalize
-from minent.cli import _MAX_DEPTH, _couple_text, _is_float, _json_text, main
+from minent import EPS_MARG, EPS_ZERO, marginalize
+from minent.cli import _MAX_DEPTH, _couple_text, _is_float, _json_text
 from minent.core import coerce_marginals
 from minent.greedy import SOLVERS
 
@@ -36,116 +35,64 @@ def write(tmp_path, name, text):
     return str(path)
 
 
-def run_cli(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
 def problem_file(tmp_path, marginals, name="problem.json"):
     return write(tmp_path, name, json.dumps({"marginals": marginals}))
 
 
 class TestCouple:
-    def test_json_input_alg1(self, tmp_path, capsys):
-        path = problem_file(tmp_path, [[0.6, 0.4], [0.5, 0.5]])
-        code, out, _ = run_cli(capsys, "couple", path, "--alg", "1")
-        assert code == 0
-        doc = json.loads(out)
-        assert len(doc["entries"]) == 3
-        assert doc["entropy_bits"] == pytest.approx(1.360964047443681, abs=1e-9)
-        assert doc["steps"] == 3
-        assert "phase_boundary" not in doc
-
-    def test_csv_input_alg2(self, tmp_path, capsys):
+    def test_csv_input_alg2(self, tmp_path):
         path = write(tmp_path, "problem.csv", "0.6,0.4\n0.5,0.5\n")
-        code, out, _ = run_cli(capsys, "couple", path, "--alg", "2")
+        code, out, _ = replay({"argv": ["couple", path, "--alg", "2"]})
         assert code == 0
         doc = json.loads(out)
         assert doc["phase_boundary"] == 3
 
-    def test_trivial_single_state(self, tmp_path, capsys):
+    def test_trivial_single_state(self, tmp_path):
         path = problem_file(tmp_path, [[1.0], [1.0]])
-        code, out, _ = run_cli(capsys, "couple", path)
+        code, out, _ = replay({"argv": ["couple", path]})
         assert code == 0
         doc = json.loads(out)
         assert doc["entries"] == [{"indices": [1, 1], "mass": 1.0}]
         assert doc["entropy_bits"] == 0.0
 
-    def test_trace_flag(self, tmp_path, capsys):
+    def test_trace_flag(self, tmp_path):
         path = problem_file(tmp_path, [[0.6, 0.4], [0.5, 0.5]])
-        code, out, _ = run_cli(capsys, "couple", path, "--alg", "2", "--trace")
+        code, out, _ = replay({"argv": ["couple", path, "--alg", "2", "--trace"]})
         doc = json.loads(out)
         assert code == 0
         assert len(doc["trace"]) == doc["steps"]
         first = doc["trace"][0]
         assert set(first) == {"iteration", "indices", "mass", "saturated"}
 
-    def test_ragged_rows_exit_2(self, tmp_path, capsys):
-        path = write(tmp_path, "bad.csv", "0.5,0.5\n0.2,0.3,0.5\n")
-        code, _, err = run_cli(capsys, "couple", path)
+    def test_missing_file_exit_2(self):
+        code, _, err = replay({"argv": ["couple", "/nonexistent/problem.json"]})
         assert code == 2
-        assert "lengths differ" in err
-
-    def test_malformed_json_exit_2(self, tmp_path, capsys):
-        path = write(tmp_path, "bad.json", "{not json")
-        code, _, err = run_cli(capsys, "couple", path)
-        assert code == 2
-
-    def test_missing_file_exit_2(self, capsys):
-        code, _, err = run_cli(capsys, "couple", "/nonexistent/problem.json")
-        assert code == 2
-
-    def test_round_trip_marginals(self, tmp_path, capsys):
-        marginals = [[0.6, 0.4], [0.5, 0.5]]
-        path = problem_file(tmp_path, marginals)
-        _, out, _ = run_cli(capsys, "couple", path, "--alg", "2")
-        doc = json.loads(out)
-        entries = {
-            tuple(item["indices"]): item["mass"] for item in doc["entries"]
-        }
-        coupling = SparseCoupling(2, (2, 2), entries)
-        for axis, target in enumerate(marginals, start=1):
-            assert marginalize(coupling, axis) == pytest.approx(
-                target, abs=1e-9
-            )
 
 
 class TestCertify:
-    def test_certifies_fresh_run(self, tmp_path, capsys):
-        path = problem_file(tmp_path, [[0.6, 0.4], [0.5, 0.5]])
-        code, out, _ = run_cli(capsys, "certify", path, "--alg", "1")
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["local_optimum_certified"] is True
-        assert doc["max_reconstruction_error"] < 1e-8
-        assert doc["residual_norm"] < 1e-8
-
-    def test_symmetric_instance_zero_witness(self, tmp_path, capsys):
+    def test_symmetric_instance_zero_witness(self, tmp_path):
         path = problem_file(tmp_path, [[0.5, 0.5], [0.5, 0.5]])
-        code, out, _ = run_cli(capsys, "certify", path)
+        code, out, _ = replay({"argv": ["certify", path]})
         assert code == 0
         doc = json.loads(out)
         assert doc["local_optimum_certified"] is True
         assert all(abs(v) < 1e-9 for vec in doc["u"] for v in vec)
 
-    def test_trace_in_round_trip(self, tmp_path, capsys):
+    def test_trace_in_round_trip(self, tmp_path):
         path = problem_file(tmp_path, [[0.6, 0.4], [0.5, 0.5]])
-        _, out, _ = run_cli(capsys, "couple", path, "--alg", "2", "--trace")
+        _, out, _ = replay({"argv": ["couple", path, "--alg", "2", "--trace"]})
         run_file = write(tmp_path, "run.json", out)
-        code, out, _ = run_cli(
-            capsys, "certify", path, "--trace-in", run_file
-        )
+        code, out, _ = replay({"argv": ["certify", path, "--trace-in", run_file]})
         assert code == 0
         assert json.loads(out)["local_optimum_certified"] is True
 
-    def test_tampered_trace_exit_3(self, tmp_path, capsys):
+    def test_tampered_trace_exit_3(self, tmp_path):
         path = problem_file(tmp_path, [[0.6, 0.4], [0.5, 0.5]])
-        _, out, _ = run_cli(capsys, "couple", path, "--alg", "2", "--trace")
+        _, out, _ = replay({"argv": ["couple", path, "--alg", "2", "--trace"]})
         doc = json.loads(out)
         doc["trace"][1]["mass"] = 0.35  # no longer matches the entries
         run_file = write(tmp_path, "tampered.json", json.dumps(doc))
-        code, out, _ = run_cli(capsys, "certify", path, "--trace-in", run_file)
+        code, out, _ = replay({"argv": ["certify", path, "--trace-in", run_file]})
         assert code == 3
         assert json.loads(out)["local_optimum_certified"] is False
 
@@ -159,32 +106,32 @@ class TestCertify:
         ],
         ids=["nan-off-shape", "negative", "zero-off-shape", "zero-short-cell"],
     )
-    def test_bad_step_off_the_coupling_exit_3(self, tmp_path, capsys, extra, iteration):
+    def test_bad_step_off_the_coupling_exit_3(self, tmp_path, extra, iteration):
         path = problem_file(tmp_path, [[0.6, 0.4], [0.5, 0.5]])
-        _, out, _ = run_cli(capsys, "couple", path, "--alg", "2", "--trace")
+        _, out, _ = replay({"argv": ["couple", path, "--alg", "2", "--trace"]})
         doc = json.loads(out)
         doc["trace"].append({"iteration": iteration, "saturated": [], **extra})
         doc["trace"].append({"iteration": 10, "indices": [1, 1], "mass": -0.25, "saturated": []})
         run_file = write(tmp_path, "doctored.json", json.dumps(doc))
-        code, out, err = run_cli(capsys, "certify", path, "--trace-in", run_file)
+        code, out, err = replay({"argv": ["certify", path, "--trace-in", run_file]})
         assert (code, err) == (3, "")
         doc = json.loads(out)
         assert doc["local_optimum_certified"] is False
         assert doc["reason"].startswith(f"step {iteration} assigns ")
 
-    def test_zero_mass_step_in_shape_certifies(self, tmp_path, capsys):
+    def test_zero_mass_step_in_shape_certifies(self, tmp_path):
         path = problem_file(tmp_path, [[0.6, 0.4], [0.5, 0.5]])
-        _, out, _ = run_cli(capsys, "couple", path, "--alg", "2", "--trace")
-        expected = run_cli(capsys, "certify", path, "--trace-in", write(tmp_path, "run.json", out))
+        _, out, _ = replay({"argv": ["couple", path, "--alg", "2", "--trace"]})
+        expected = replay({"argv": ["certify", path, "--trace-in", write(tmp_path, "run.json", out)]})
         doc = json.loads(out)
         doc["trace"].append({"iteration": 9, "indices": [2, 2], "mass": -0.0, "saturated": []})
         run_file = write(tmp_path, "extra.json", json.dumps(doc))
-        assert run_cli(capsys, "certify", path, "--trace-in", run_file) == expected
+        assert replay({"argv": ["certify", path, "--trace-in", run_file]}) == expected
         assert expected[0] == 0
 
-    def test_infeasible_entries_exit_3(self, tmp_path, capsys):
+    def test_infeasible_entries_exit_3(self, tmp_path):
         path = problem_file(tmp_path, [[0.6, 0.4], [0.5, 0.5]])
-        _, out, _ = run_cli(capsys, "couple", path, "--alg", "1", "--trace")
+        _, out, _ = replay({"argv": ["couple", path, "--alg", "1", "--trace"]})
         doc = json.loads(out)
         # swap two masses consistently in entries and trace: still a valid
         # distribution, no longer a coupling of the inputs
@@ -192,21 +139,21 @@ class TestCertify:
             items = doc[section]
             items[0]["mass"], items[1]["mass"] = items[1]["mass"], items[0]["mass"]
         run_file = write(tmp_path, "swapped.json", json.dumps(doc))
-        code, out, _ = run_cli(capsys, "certify", path, "--trace-in", run_file)
+        code, out, _ = replay({"argv": ["certify", path, "--trace-in", run_file]})
         assert code == 3
         assert json.loads(out)["local_optimum_certified"] is False
 
-    def test_reconstruction_error_exit_3_reports_both_diagnostics(self, tmp_path, capsys):
+    def test_reconstruction_error_exit_3_reports_both_diagnostics(self, tmp_path):
         # the trace's tiny mass is within the 1e-12 matching tolerance of
         # the entry's, yet rebuilds 27 % off it
         marginals = [[0.6, 0.4 - 3e-12, 3e-12], [0.5, 0.5 - 3e-12, 3e-12]]
         path = problem_file(tmp_path, marginals)
-        _, out, _ = run_cli(capsys, "couple", path, "--alg", "1", "--trace")
+        _, out, _ = replay({"argv": ["couple", path, "--alg", "1", "--trace"]})
         doc = json.loads(out)
         (tiny,) = [item for item in doc["trace"] if item["mass"] == 3e-12]
         tiny["mass"] += 8e-13
         run_file = write(tmp_path, "run.json", json.dumps(doc))
-        code, out, err = run_cli(capsys, "certify", path, "--trace-in", run_file)
+        code, out, err = replay({"argv": ["certify", path, "--trace-in", run_file]})
         assert (code, err) == (3, "")
         assert json.loads(out) == {
             "local_optimum_certified": False,
@@ -216,14 +163,14 @@ class TestCertify:
         }
 
     @pytest.mark.parametrize("rows", [1500, 3000])
-    def test_witnesses_past_the_float_range_exit_3(self, tmp_path, capsys, rows):
+    def test_witnesses_past_the_float_range_exit_3(self, tmp_path, rows):
         # a hand-made run whose witnesses overflow; no NaN or Infinity,
         # which are not JSON, may reach stdout
         coupling, trace = _doctored_growing_witnesses(rows)
         axes = range(1, coupling.num_vars + 1)
         path = problem_file(tmp_path, [marginalize(coupling, axis) for axis in axes])
         run_file = write(tmp_path, "run.json", _couple_text(coupling, trace, True))
-        code, out, err = run_cli(capsys, "certify", path, "--trace-in", run_file)
+        code, out, err = replay({"argv": ["certify", path, "--trace-in", run_file]})
         assert (code, err) == (3, "")
         assert json.loads(out, parse_constant=_no_constant) == {
             "local_optimum_certified": False,
@@ -266,29 +213,29 @@ class TestOddRunFiles:
              "iterations-out-of-range", "saturated-off-the-cells", "saturated-repeated",
              "entries-reversed", "repeated-cell-with-zero-mass"],
     )
-    def test_certifies_as_the_file_couple_wrote(self, tmp_path, capsys, doctor):
+    def test_certifies_as_the_file_couple_wrote(self, tmp_path, doctor):
         path = problem_file(tmp_path, [[0.6, 0.4], [0.5, 0.5]])
-        _, out, _ = run_cli(capsys, "couple", path, "--alg", "2", "--trace")
-        expected = run_cli(capsys, "certify", path, "--trace-in", write(tmp_path, "run.json", out))
+        _, out, _ = replay({"argv": ["couple", path, "--alg", "2", "--trace"]})
+        expected = replay({"argv": ["certify", path, "--trace-in", write(tmp_path, "run.json", out)]})
         doc = json.loads(out)
         doctor(doc)
         run_file = write(tmp_path, "odd.json", json.dumps(doc))
-        assert run_cli(capsys, "certify", path, "--trace-in", run_file) == expected
+        assert replay({"argv": ["certify", path, "--trace-in", run_file]}) == expected
         assert expected[0] == 0
 
     @pytest.mark.parametrize("where", [0, 1, 3], ids=["first", "second", "last"])
-    def test_repeated_positive_cell_exit_3(self, tmp_path, capsys, where):
+    def test_repeated_positive_cell_exit_3(self, tmp_path, where):
         path = problem_file(tmp_path, [[0.6, 0.4], [0.5, 0.5]])
-        _, out, _ = run_cli(capsys, "couple", path, "--alg", "2", "--trace")
+        _, out, _ = replay({"argv": ["couple", path, "--alg", "2", "--trace"]})
         doc = json.loads(out)
         doc["trace"].insert(where, dict(doc["trace"][0]))
         run_file = write(tmp_path, "odd.json", json.dumps(doc))
         reason = "trace does not match the coupling's entries"
-        assert run_cli(capsys, "certify", path, "--trace-in", run_file) == (
+        assert replay({"argv": ["certify", path, "--trace-in", run_file]}) == (
             3, '{\n  "local_optimum_certified": false,\n  "reason": "%s"\n}\n' % reason, ""
         )
 
-    def test_dependent_step_named_by_its_own_iteration(self, tmp_path, capsys):
+    def test_dependent_step_named_by_its_own_iteration(self, tmp_path):
         # every cell of the 2x2 grid: the first step's slots are both used
         # again later, and the message names it as the file numbers it
         path = problem_file(tmp_path, [[0.5, 0.5], [0.5, 0.5]])
@@ -302,50 +249,29 @@ class TestOddRunFiles:
         }
         run_file = write(tmp_path, "odd.json", json.dumps(doc))
         reason = "step 42 exhausts no slot that later steps leave alone; rows may be dependent"
-        assert run_cli(capsys, "certify", path, "--trace-in", run_file) == (
+        assert replay({"argv": ["certify", path, "--trace-in", run_file]}) == (
             3, '{\n  "local_optimum_certified": false,\n  "reason": "%s"\n}\n' % reason, ""
         )
 
 
 class TestBound:
-    def test_oracle_tightness_zero_on_worked_instance(self, tmp_path, capsys):
-        path = problem_file(tmp_path, [[0.6, 0.4], [0.5, 0.5]])
-        code, out, _ = run_cli(capsys, "bound", path, "--alg", "1", "--oracle")
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["oracle"]["tightness"] == pytest.approx(0.0, abs=1e-9)
-        assert doc["achieved"] == pytest.approx(1.360964047443681, abs=1e-9)
-
-    def test_two_level_family_file(self, tmp_path, capsys):
+    def test_two_level_family_file(self, tmp_path):
         path = problem_file(
             tmp_path, [[0.25] * 4, [0.375, 0.375, 0.125, 0.125]]
         )
-        code, out, _ = run_cli(capsys, "bound", path, "--alg", "2")
+        code, out, _ = replay({"argv": ["bound", path, "--alg", "2"]})
         assert code == 0
         doc = json.loads(out)
         assert doc["achieved"] == pytest.approx(2.5, abs=1e-9)
         assert doc["residual_total"] == pytest.approx(0.25, abs=1e-9)
         assert doc["residual_entropies"] == pytest.approx([0.75, 0.75], abs=1e-9)
 
-    def test_identical_marginals(self, tmp_path, capsys):
+    def test_identical_marginals(self, tmp_path):
         path = problem_file(tmp_path, [[0.3, 0.7], [0.3, 0.7]])
-        code, out, _ = run_cli(capsys, "bound", path)
+        code, out, _ = replay({"argv": ["bound", path]})
         doc = json.loads(out)
         assert doc["residual_total"] == 0.0
         assert doc["slack"] == pytest.approx(1.0, abs=1e-9)
-
-    def test_oracle_needs_two_marginals(self, tmp_path, capsys):
-        path = problem_file(tmp_path, [[0.5, 0.5]] * 3)
-        code, _, err = run_cli(capsys, "bound", path, "--oracle")
-        assert code == 2
-        assert "two marginals" in err
-
-    def test_oracle_size_cap_exit_4(self, tmp_path, capsys):
-        seventh = 1.0 / 7
-        path = problem_file(tmp_path, [[seventh] * 7, [seventh] * 7])
-        code, _, err = run_cli(capsys, "bound", path, "--oracle")
-        assert code == 4
-        assert "cap" in err
 
     @pytest.mark.parametrize(
         "marginals,code,message",
@@ -356,7 +282,7 @@ class TestBound:
         ],
     )
     def test_oracle_rejects_before_solving(
-        self, tmp_path, capsys, monkeypatch, marginals, code, message
+        self, tmp_path, monkeypatch, marginals, code, message
     ):
         def unreachable(*args):
             raise AssertionError("solver ran before the oracle checks")
@@ -364,52 +290,39 @@ class TestBound:
         for name in list(SOLVERS):
             monkeypatch.setitem(SOLVERS, name, unreachable)
         path = problem_file(tmp_path, marginals)
-        got, out, err = run_cli(capsys, "bound", path, "--alg", "2", "--oracle")
+        got, out, err = replay({"argv": ["bound", path, "--alg", "2", "--oracle"]})
         assert (got, out) == (code, "")
         assert err == f"error: {message}\n"
 
 
 class TestInfer:
-    def test_matrix_input(self, tmp_path, capsys):
+    def test_matrix_input(self, tmp_path):
         path = write(tmp_path, "joint.csv", "0.3,0.1\n0.2,0.4\n")
-        code, out, _ = run_cli(capsys, "infer", path, "--solver", "alg1")
+        code, out, _ = replay({"argv": ["infer", path, "--solver", "alg1"]})
         assert code == 0
         doc = json.loads(out)
         assert doc["verdict"] == "XtoY"
         assert doc["score_XtoY"] == pytest.approx(2.1596724699955354, abs=1e-9)
         assert doc["score_YtoX"] == pytest.approx(2.3709505944546687, abs=1e-9)
 
-    def test_diagonal_joint_undecided(self, tmp_path, capsys):
+    def test_diagonal_joint_undecided(self, tmp_path):
         path = write(tmp_path, "joint.csv", "0.5,0\n0,0.5\n")
-        code, out, _ = run_cli(capsys, "infer", path)
+        code, out, _ = replay({"argv": ["infer", path]})
         assert code == 0
         assert json.loads(out)["verdict"] == "undecided"
 
-    def test_samples_input(self, tmp_path, capsys):
-        rows = "\n".join(["1,1"] * 40 + ["1,2"] * 10 + ["2,2"] * 50)
-        path = write(tmp_path, "samples.csv", rows + "\n")
-        code, out, _ = run_cli(capsys, "infer", path, "--samples")
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["H_X"] == pytest.approx(1.0, abs=1e-9)
-
-    def test_samples_skip_blank_rows(self, tmp_path, capsys):
+    def test_samples_skip_blank_rows(self, tmp_path):
         rows = ["1,1"] * 4 + ["1,2", "2,2"] * 3
         plain = write(tmp_path, "plain.csv", "\n".join(rows) + "\n")
         blank = write(tmp_path, "blank.csv", "\n ,\n".join(rows) + "\n\n")
-        assert run_cli(capsys, "infer", blank, "--samples") == run_cli(
-            capsys, "infer", plain, "--samples"
+        assert replay({"argv": ["infer", blank, "--samples"]}) == replay(
+            {"argv": ["infer", plain, "--samples"]}
         )
 
-    def test_samples_all_blank_exit_2(self, tmp_path, capsys):
+    def test_samples_all_blank_exit_2(self, tmp_path):
         path = write(tmp_path, "samples.csv", "\n , \n\n")
-        code, out, err = run_cli(capsys, "infer", path, "--samples")
+        code, out, err = replay({"argv": ["infer", path, "--samples"]})
         assert (code, out, err) == (2, "", "error: no samples in input\n")
-
-    def test_malformed_csv_exit_2(self, tmp_path, capsys):
-        path = write(tmp_path, "joint.csv", "0.5,abc\n0,0.5\n")
-        code, _, _ = run_cli(capsys, "infer", path)
-        assert code == 2
 
     @pytest.mark.parametrize(
         "text, argv, shape",
@@ -421,10 +334,10 @@ class TestInfer:
         ],
         ids=["one-row", "one-column", "pruned-to-one-column", "samples-one-x"],
     )
-    def test_one_observed_state_exit_2(self, tmp_path, capsys, text, argv, shape):
+    def test_one_observed_state_exit_2(self, tmp_path, text, argv, shape):
         # these used to exit 2 with the solver's "need at least two marginals"
         path = write(tmp_path, "joint.csv", text)
-        code, out, err = run_cli(capsys, "infer", path, *argv)
+        code, out, err = replay({"argv": ["infer", path, *argv]})
         assert (code, out) == (2, "")
         assert err.endswith(
             f"error: joint observation is {shape} after pruning; a causal direction "
@@ -444,13 +357,13 @@ class TestInfer:
         ],
         ids=["column", "row", "rows-and-column"],
     )
-    def test_pruned_states_named_on_stderr(self, tmp_path, capsys, text, kept, line):
+    def test_pruned_states_named_on_stderr(self, tmp_path, text, kept, line):
         # one line naming the pruned and the kept states, 1-based, in
         # place of Python's UserWarning with its source line
-        code, out, err = run_cli(capsys, "infer", write(tmp_path, "joint.csv", text))
+        code, out, err = replay({"argv": ["infer", write(tmp_path, "joint.csv", text)]})
         assert err == f"warning: pruned states with zero observed mass: {line}\n"
         # the report is that of the joint without the pruned states
-        assert (code, out, "") == run_cli(capsys, "infer", write(tmp_path, "kept.csv", kept))
+        assert (code, out, "") == replay({"argv": ["infer", write(tmp_path, "kept.csv", kept)]})
 
     @pytest.mark.parametrize(
         "name, text",
@@ -459,58 +372,40 @@ class TestInfer:
             ("joint.json", '{"joint": [[0.5, 0.25], [0.25]]}'),
         ],
     )
-    def test_ragged_joint_exit_2_naming_row_lengths(self, tmp_path, capsys, name, text):
+    def test_ragged_joint_exit_2_naming_row_lengths(self, tmp_path, name, text):
         path = write(tmp_path, name, text)
-        code, out, err = run_cli(capsys, "infer", path)
+        code, out, err = replay({"argv": ["infer", path]})
         assert (code, out, err) == (2, "", "error: joint row lengths differ: [2, 1]\n")
 
-    def test_negative_entry_exit_2_naming_the_value(self, tmp_path, capsys):
+    def test_negative_entry_exit_2_naming_the_value(self, tmp_path):
         path = write(tmp_path, "joint.csv", "0.6,-0.1\n0.3,0.2\n")
-        code, out, err = run_cli(capsys, "infer", path)
+        code, out, err = replay({"argv": ["infer", path]})
         assert (code, out, err) == (2, "", "error: negative probability -0.1 in joint\n")
 
-    def test_margin_flag(self, tmp_path, capsys):
+    def test_margin_flag(self, tmp_path):
         path = write(tmp_path, "joint.csv", "0.3,0.1\n0.2,0.4\n")
-        code, out, _ = run_cli(capsys, "infer", path, "--margin", "1.0")
+        code, out, _ = replay({"argv": ["infer", path, "--margin", "1.0"]})
         assert code == 0
         assert json.loads(out)["verdict"] == "undecided"
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
-    def test_non_finite_margin_exit_2(self, tmp_path, capsys, token):
+    def test_non_finite_margin_exit_2(self, tmp_path, token):
         path = write(tmp_path, "joint.csv", "0.3,0.1\n0.2,0.4\n")
-        code, out, err = run_cli(capsys, "infer", path, f"--margin={token}")
+        code, out, err = replay({"argv": ["infer", path, f"--margin={token}"]})
         assert code == 2
         assert out == ""
         assert f"margin has non-finite entry {token}" in err
 
 
 class TestGenerate:
-    def test_special_family(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "generate", "--family", "special", "--n", "4",
-            "--alpha", "1.5",
-        )
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["marginals"][0] == [0.25] * 4
-        assert doc["marginals"][1] == [0.375, 0.375, 0.125, 0.125]
-        assert doc["predicted_coupling_entropy_bits"] == pytest.approx(2.5)
-
-    def test_special_family_requires_alpha(self, capsys):
-        code, _, err = run_cli(
-            capsys, "generate", "--family", "special", "--n", "4"
-        )
-        assert code == 2
-        assert "alpha" in err
-
-    def test_random_family_seeded(self, capsys):
+    def test_random_family_seeded(self):
         args = [
             "generate", "--family", "random", "--n", "3", "--m", "2",
             "--seed", "7",
         ]
-        code, first, _ = run_cli(capsys, *args)
+        code, first, _ = replay({"argv": args})
         assert code == 0
-        _, second, _ = run_cli(capsys, *args)
+        _, second, _ = replay({"argv": args})
         assert first == second
         doc = json.loads(first)
         assert len(doc["marginals"]) == 2
@@ -527,28 +422,25 @@ class TestGenerate:
             (["--n", "3", "--m", "-1"], "--m must be at least 2, got -1"),
         ],
     )
-    def test_random_family_rejects_unusable_sizes(self, capsys, flags, message):
-        code, out, err = run_cli(capsys, "generate", "--family", "random", *flags)
+    def test_random_family_rejects_unusable_sizes(self, flags, message):
+        code, out, err = replay({"argv": ["generate", "--family", "random", *flags]})
         assert code == 2
         assert out == ""
         assert message in err
 
     @pytest.mark.parametrize("n, m", [(1, 2), (3, 2), (2, 4)])
-    def test_random_family_feeds_couple(self, tmp_path, capsys, n, m):
+    def test_random_family_feeds_couple(self, tmp_path, n, m):
         args = ["--family", "random", "--n", str(n), "--m", str(m)]
-        code, out, _ = run_cli(capsys, "generate", *args)
+        code, out, _ = replay({"argv": ["generate", *args]})
         assert code == 0
         path = write(tmp_path, "generated.json", out)
-        code, _, _ = run_cli(capsys, "couple", path)
+        code, _, _ = replay({"argv": ["couple", path]})
         assert code == 0
 
-    def test_generated_file_feeds_couple(self, tmp_path, capsys):
-        code, out, _ = run_cli(
-            capsys, "generate", "--family", "special", "--n", "8",
-            "--alpha", "1.25",
-        )
+    def test_generated_file_feeds_couple(self, tmp_path):
+        code, out, _ = replay({"argv": ["generate", "--family", "special", "--n", "8", "--alpha", "1.25"]})
         path = write(tmp_path, "generated.json", out)
-        code, out, _ = run_cli(capsys, "couple", path, "--alg", "2")
+        code, out, _ = replay({"argv": ["couple", path, "--alg", "2"]})
         assert code == 0
         doc = json.loads(out)
         expected = 3.0 - 0.125 * math.log2(0.25) - 0.375 * math.log2(0.75)
@@ -561,20 +453,20 @@ class TestNonFiniteInput:
         "json_token, csv_token, shown",
         [("NaN", "nan", "nan"), ("Infinity", "inf", "inf"), ("-Infinity", "-inf", "-inf")],
     )
-    def test_exit_2_naming_the_entry(self, tmp_path, capsys, command, json_token, csv_token, shown):
+    def test_exit_2_naming_the_entry(self, tmp_path, command, json_token, csv_token, shown):
         files = [
             write(tmp_path, "p.json", f'{{"marginals": [[0.5, 0.5], [{json_token}, 1.0]]}}'),
             write(tmp_path, "p.csv", f"0.5,0.5\n{csv_token},1.0\n"),
         ]
         for path in files:
-            code, out, err = run_cli(capsys, command, path)
+            code, out, err = replay({"argv": [command, path]})
             assert code == 2
             assert out == ""
             assert f"marginal has non-finite entry {shown} at position 1" in err
 
-    def test_infer_exit_2(self, tmp_path, capsys):
+    def test_infer_exit_2(self, tmp_path):
         path = write(tmp_path, "joint.csv", "0.3,nan\n0.2,0.4\n")
-        code, _, err = run_cli(capsys, "infer", path)
+        code, _, err = replay({"argv": ["infer", path]})
         assert code == 2
         assert "joint row 1 has non-finite entry nan at position 2" in err
 
@@ -587,9 +479,9 @@ class TestStrictCsvNumbers:
 
     @pytest.mark.parametrize("cell", CELLS, ids=["underscore", "arabic-indic", "full-width"])
     @pytest.mark.parametrize("command", ["couple", "certify", "bound", "infer"])
-    def test_matrix_cell_exit_2(self, tmp_path, capsys, command, cell):
+    def test_matrix_cell_exit_2(self, tmp_path, command, cell):
         path = write(tmp_path, "p.csv", f"0.75,{cell}\n0.5,0.5\n")
-        code, out, err = run_cli(capsys, command, path)
+        code, out, err = replay({"argv": [command, path]})
         assert (code, out) == (2, "")
         assert err == f"error: could not convert string to float: {cell!r}\n"
 
@@ -597,38 +489,37 @@ class TestStrictCsvNumbers:
         "cell", ["1_0", "\u0661", "\uff11", " 1_0 "],
         ids=["underscore", "arabic-indic", "full-width", "padded-underscore"],
     )
-    def test_sample_cell_exit_2(self, tmp_path, capsys, cell):
+    def test_sample_cell_exit_2(self, tmp_path, cell):
         path = write(tmp_path, "samples.csv", f"1,2\n{cell},1\n2,2\n")
-        code, out, err = run_cli(capsys, "infer", path, "--samples")
+        code, out, err = replay({"argv": ["infer", path, "--samples"]})
         assert (code, out) == (2, "")
         assert err == f"error: invalid literal for int() with base 10: {cell!r}\n"
 
-    def test_long_sample_label_exit_2(self, tmp_path, capsys):
+    def test_long_sample_label_exit_2(self, tmp_path):
         path = write(tmp_path, "samples.csv", f"1{LONG_DIGITS},1\n2,2\n")
         message = "error: sample label is an integer too long to convert\n"
-        assert run_cli(capsys, "infer", path, "--samples") == (2, "", message)
+        assert replay({"argv": ["infer", path, "--samples"]}) == (2, "", message)
         # the same digits and a letter are no number, which 3.10 and 3.11
         # word as past the limit; int() quotes 200 characters of the text
         path = write(tmp_path, "samples.csv", f" -1{LONG_DIGITS}x,1\n2,2\n")
         message = "error: invalid literal for int() with base 10: ' -1" + "0" * 196 + "\n"
-        assert run_cli(capsys, "infer", path, "--samples") == (2, "", message)
+        assert replay({"argv": ["infer", path, "--samples"]}) == (2, "", message)
 
-    def test_long_option_integer_is_argparse_words(self, capsys):
+    def test_long_option_integer_is_argparse_words(self):
         seed = f"1{LONG_DIGITS}"
-        with pytest.raises(SystemExit) as exit_info:
-            main(["generate", "--family", "random", "--n", "3", "--seed", seed])
-        assert exit_info.value.code == 2
-        assert capsys.readouterr().err.endswith(f"error: argument --seed: invalid int value: {seed!r}\n")
+        code, out, err = replay({"argv": ["generate", "--family", "random", "--n", "3", "--seed", seed]})
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument --seed: invalid int value: {seed!r}\n")
 
-    def test_ascii_cells_read_as_before(self, tmp_path, capsys):
+    def test_ascii_cells_read_as_before(self, tmp_path):
         plain = write(tmp_path, "plain.csv", "0.25,0.75\n0.5,0.5\n")
         padded = write(tmp_path, "padded.csv", " 0.25 ,\t0.75\n+0.5,5e-1\n")
-        assert run_cli(capsys, "couple", padded) == run_cli(capsys, "couple", plain)
+        assert replay({"argv": ["couple", padded]}) == replay({"argv": ["couple", plain]})
         samples = write(tmp_path, "samples.csv", " 1 ,+2\n-1,1\n")
-        code, _, _ = run_cli(capsys, "infer", samples, "--samples")
+        code, _, _ = replay({"argv": ["infer", samples, "--samples"]})
         assert code == 0
         path = write(tmp_path, "bad.csv", "0.5, abc \n0,0.5\n")
-        assert run_cli(capsys, "infer", path) == (
+        assert replay({"argv": ["infer", path]}) == (
             2, "", "error: could not convert string to float: ' abc '\n"
         )
 
@@ -651,24 +542,21 @@ class TestStrictOptionNumbers:
         ids=["n-arabic-indic", "seed-underscore", "m-full-width", "alpha-underscore",
              "alpha-arabic-indic", "margin-underscore", "margin-padded-full-width"],
     )
-    def test_exit_2_as_argparse_words_it(self, tmp_path, capsys, argv, option, kind, value):
+    def test_exit_2_as_argparse_words_it(self, tmp_path, argv, option, kind, value):
         joint = write(tmp_path, "joint.csv", "0.3,0.1\n0.2,0.4\n")
-        with pytest.raises(SystemExit) as exit_info:
-            main([a.format(joint=joint) for a in argv])
-        captured = capsys.readouterr()
-        assert exit_info.value.code == 2
-        assert captured.out == ""
-        assert captured.err.endswith(f"error: argument {option}: invalid {kind} value: {value!r}\n")
+        code, out, err = replay({"argv": [a.format(joint=joint) for a in argv]})
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument {option}: invalid {kind} value: {value!r}\n")
 
-    def test_ascii_values_read_as_before(self, tmp_path, capsys):
-        code, out, _ = run_cli(capsys, "generate", "--family", "special", "--n", " 4 ", "--alpha", "+1.5")
+    def test_ascii_values_read_as_before(self, tmp_path):
+        code, out, _ = replay({"argv": ["generate", "--family", "special", "--n", " 4 ", "--alpha", "+1.5"]})
         assert code == 0
-        assert run_cli(capsys, "generate", "--family", "special", "--n", "4", "--alpha", "1.5")[1] == out
-        code, out, _ = run_cli(capsys, "generate", "--family", "random", "--n", "3", "--m", "+2", "--seed", "10")
+        assert replay({"argv": ["generate", "--family", "special", "--n", "4", "--alpha", "1.5"]})[1] == out
+        code, out, _ = replay({"argv": ["generate", "--family", "random", "--n", "3", "--m", "+2", "--seed", "10"]})
         assert code == 0
         assert json.loads(out)["seed"] == 10
         joint = write(tmp_path, "joint.csv", "0.3,0.1\n0.2,0.4\n")
-        assert run_cli(capsys, "infer", joint, "--margin", "1e-1")[0] == 0
+        assert replay({"argv": ["infer", joint, "--margin", "1e-1"]})[0] == 0
 
 
 class TestOneIngestRule:
@@ -685,15 +573,15 @@ class TestOneIngestRule:
     @pytest.mark.parametrize(
         "argv", [["couple"], ["certify"], ["bound"], ["certify", "--trace-in"]]
     )
-    def test_exit_2_before_any_work(self, tmp_path, capsys, marginals, message, argv):
+    def test_exit_2_before_any_work(self, tmp_path, marginals, message, argv):
         # certify --trace-in used to exit 3 on one or ragged marginals, and
         # couple accepted shifted totals that certify then failed (exit 3)
         run = problem_file(tmp_path, [[0.6, 0.4], [0.5, 0.5]], name="ok.json")
-        _, saved, _ = run_cli(capsys, "couple", run, "--trace")
+        _, saved, _ = replay({"argv": ["couple", run, "--trace"]})
         run_file = write(tmp_path, "run.json", saved)
         path = problem_file(tmp_path, marginals)
         extra = [run_file] if argv[-1] == "--trace-in" else []
-        code, out, err = run_cli(capsys, argv[0], path, *argv[1:], *extra)
+        code, out, err = replay({"argv": [argv[0], path, *argv[1:], *extra]})
         assert code == 2
         assert out == ""
         assert message in err
@@ -713,33 +601,33 @@ class TestByteOrderMark:
             ("infer", "joint.csv", "0.3,0.1\n0.2,0.4\n"),
         ],
     )
-    def test_input_file(self, tmp_path, capsys, command, name, text):
-        plain = run_cli(capsys, command, write(tmp_path, name, text))
-        marked = run_cli(capsys, command, write(tmp_path, "bom-" + name, self.BOM + text))
+    def test_input_file(self, tmp_path, command, name, text):
+        plain = replay({"argv": [command, write(tmp_path, name, text)]})
+        marked = replay({"argv": [command, write(tmp_path, "bom-" + name, self.BOM + text)]})
         assert plain[0] == 0
         assert marked == plain
 
-    def test_stdin(self, capsys, monkeypatch):
-        outputs = []
-        for prefix in ("", self.BOM):
-            monkeypatch.setattr(sys, "stdin", io.StringIO(prefix + self.WORKED_CSV))
-            outputs.append(run_cli(capsys, "couple", "-", "--alg", "2"))
+    def test_stdin(self):
+        outputs = [
+            replay({"argv": ["couple", "-", "--alg", "2"], "stdin": prefix + self.WORKED_CSV})
+            for prefix in ("", self.BOM)
+        ]
         assert outputs[0][0] == 0
         assert outputs[1] == outputs[0]
 
-    def test_run_file(self, tmp_path, capsys):
+    def test_run_file(self, tmp_path):
         problem = write(tmp_path, "problem.csv", self.WORKED_CSV)
-        _, run, _ = run_cli(capsys, "couple", problem, "--trace")
+        _, run, _ = replay({"argv": ["couple", problem, "--trace"]})
         outputs = [
-            run_cli(capsys, "certify", problem, "--trace-in", write(tmp_path, name, text))
+            replay({"argv": ["certify", problem, "--trace-in", write(tmp_path, name, text)]})
             for name, text in [("run.json", run), ("bom-run.json", self.BOM + run)]
         ]
         assert outputs[0][0] == 0
         assert outputs[1] == outputs[0]
 
-    def test_only_one_mark_is_dropped(self, tmp_path, capsys):
+    def test_only_one_mark_is_dropped(self, tmp_path):
         path = write(tmp_path, "problem.csv", self.BOM * 2 + self.WORKED_CSV)
-        code, out, err = run_cli(capsys, "couple", path)
+        code, out, err = replay({"argv": ["couple", path]})
         assert (code, out) == (2, "")
         assert err == "error: could not convert string to float: '\\ufeff0.6'\n"
 
@@ -777,21 +665,21 @@ class TestMalformedShapes:
             ),
         ],
     )
-    def test_marginals_exit_2(self, tmp_path, capsys, command, text, message):
+    def test_marginals_exit_2(self, tmp_path, command, text, message):
         path = write(tmp_path, "bad.json", text)
-        code, out, err = run_cli(capsys, command, path)
+        code, out, err = replay({"argv": [command, path]})
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
-    def test_joint_exit_2(self, tmp_path, capsys):
+    def test_joint_exit_2(self, tmp_path):
         path = write(tmp_path, "joint.json", '{"joint": [[0.5, 0.5], 3]}')
-        code, out, err = run_cli(capsys, "infer", path)
+        code, out, err = replay({"argv": ["infer", path]})
         assert (code, out, err) == (2, "", "error: 'joint' item 2 is not a list\n")
 
     @pytest.mark.parametrize("cell", ["true", "false", '"0.25"'])
-    def test_joint_non_number_exit_2(self, tmp_path, capsys, cell):
+    def test_joint_non_number_exit_2(self, tmp_path, cell):
         text = '{"joint": [[%s, 0.25], [0.25, 0.25]]}' % cell
         path = write(tmp_path, "joint.json", text)
-        code, out, err = run_cli(capsys, "infer", path)
+        code, out, err = replay({"argv": ["infer", path]})
         assert (code, out, err) == (2, "", "error: 'joint' item 1 item 1 is not a number\n")
 
     @pytest.mark.parametrize(
@@ -829,23 +717,23 @@ class TestMalformedShapes:
             ),
         ],
     )
-    def test_run_file_exit_2(self, tmp_path, capsys, doc, message):
+    def test_run_file_exit_2(self, tmp_path, doc, message):
         path = problem_file(tmp_path, [[0.6, 0.4], [0.5, 0.5]])
         run_file = write(tmp_path, "run.json", json.dumps(doc))
-        code, out, err = run_cli(capsys, "certify", path, "--trace-in", run_file)
+        code, out, err = replay({"argv": ["certify", path, "--trace-in", run_file]})
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
-    def test_joint_huge_integer_exit_2(self, tmp_path, capsys):
+    def test_joint_huge_integer_exit_2(self, tmp_path):
         text = '{"joint": [[0.25, 0.25], [0.25, 1%s]]}' % HUGE_DIGITS
         path = write(tmp_path, "joint.json", text)
-        code, out, err = run_cli(capsys, "infer", path)
+        code, out, err = replay({"argv": ["infer", path]})
         assert (code, out, err) == (2, "", "error: 'joint' item 2 item 2 is too large for a float\n")
 
-    def test_run_file_index_past_the_int_conversion_limit_exit_2(self, tmp_path, capsys):
+    def test_run_file_index_past_the_int_conversion_limit_exit_2(self, tmp_path):
         path = problem_file(tmp_path, [[0.6, 0.4], [0.5, 0.5]])
         text = '{"entries": [{"indices": [1%s, 1], "mass": 1.0}], "trace": []}' % LONG_DIGITS
         run_file = write(tmp_path, "run.json", text)
-        code, out, err = run_cli(capsys, "certify", path, "--trace-in", run_file)
+        code, out, err = replay({"argv": ["certify", path, "--trace-in", run_file]})
         assert (code, out, err) == (2, "", f"error: {TOO_LONG}\n")
 
     def test_float_limit_is_where_float_overflows(self):
@@ -882,10 +770,10 @@ class TestMalformedShapes:
             ),
         ],
     )
-    def test_run_file_non_integral_exit_2(self, tmp_path, capsys, doc, message):
+    def test_run_file_non_integral_exit_2(self, tmp_path, doc, message):
         path = problem_file(tmp_path, [[0.6, 0.4], [0.5, 0.5]])
         run_file = write(tmp_path, "run.json", json.dumps(doc))
-        code, out, err = run_cli(capsys, "certify", path, "--trace-in", run_file)
+        code, out, err = replay({"argv": ["certify", path, "--trace-in", run_file]})
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
@@ -912,14 +800,14 @@ class TestMalformedShapes:
         ids=["entry-mass", "entry-indices", "step-indices", "step-iteration", "step-mass",
              "short-pair", "long-pair", "empty-pair"],
     )
-    def test_run_file_missing_field_or_malformed_pair_exit_2(self, tmp_path, capsys, doctor, message):
+    def test_run_file_missing_field_or_malformed_pair_exit_2(self, tmp_path, doctor, message):
         # these used to exit 2 with a bare KeyError or an unpacking error
         path = problem_file(tmp_path, [[0.6, 0.4], [0.5, 0.5]])
-        _, out, _ = run_cli(capsys, "couple", path, "--alg", "2", "--trace")
+        _, out, _ = replay({"argv": ["couple", path, "--alg", "2", "--trace"]})
         doc = json.loads(out)
         doctor(doc)
         run_file = write(tmp_path, "run.json", json.dumps(doc))
-        code, out, err = run_cli(capsys, "certify", path, "--trace-in", run_file)
+        code, out, err = replay({"argv": ["certify", path, "--trace-in", run_file]})
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
@@ -941,15 +829,15 @@ class TestMalformedShapes:
         ids=["repeated-last", "repeated-inside", "boundary-string", "boundary-bool",
              "boundary-list", "boundary-fraction"],
     )
-    def test_run_file_that_used_to_certify_exit_2(self, tmp_path, capsys, doctor, message):
+    def test_run_file_that_used_to_certify_exit_2(self, tmp_path, doctor, message):
         # a repeated cell was merged by dict() and an unchecked boundary
         # passed through, so each of these certified with exit 0
         path = problem_file(tmp_path, [[0.6, 0.4], [0.5, 0.5]])
-        _, out, _ = run_cli(capsys, "couple", path, "--alg", "2", "--trace")
+        _, out, _ = replay({"argv": ["couple", path, "--alg", "2", "--trace"]})
         doc = json.loads(out)
         doctor(doc)
         run_file = write(tmp_path, "run.json", json.dumps(doc))
-        code, out, err = run_cli(capsys, "certify", path, "--trace-in", run_file)
+        code, out, err = replay({"argv": ["certify", path, "--trace-in", run_file]})
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
@@ -961,35 +849,35 @@ class TestMalformedShapes:
         ],
         ids=["no-saturated", "null-boundary", "integral-float-boundary"],
     )
-    def test_optional_run_file_fields_still_read(self, tmp_path, capsys, doctor):
+    def test_optional_run_file_fields_still_read(self, tmp_path, doctor):
         path = problem_file(tmp_path, [[0.6, 0.4], [0.5, 0.5]])
-        _, out, _ = run_cli(capsys, "couple", path, "--alg", "2", "--trace")
-        expected = run_cli(capsys, "certify", path, "--trace-in", write(tmp_path, "run.json", out))
+        _, out, _ = replay({"argv": ["couple", path, "--alg", "2", "--trace"]})
+        expected = replay({"argv": ["certify", path, "--trace-in", write(tmp_path, "run.json", out)]})
         doc = json.loads(out)
         doctor(doc)
         run_file = write(tmp_path, "doctored.json", json.dumps(doc))
-        assert run_cli(capsys, "certify", path, "--trace-in", run_file) == expected
+        assert replay({"argv": ["certify", path, "--trace-in", run_file]}) == expected
         assert expected[0] == 0
 
-    def test_shifted_run_file_exit_2(self, tmp_path, capsys):
+    def test_shifted_run_file_exit_2(self, tmp_path):
         # int() used to truncate every shifted index back to the original,
         # so this file certified with exit 0
         path = problem_file(tmp_path, [[0.6, 0.4], [0.5, 0.5]])
-        _, out, _ = run_cli(capsys, "couple", path, "--alg", "2", "--trace")
+        _, out, _ = replay({"argv": ["couple", path, "--alg", "2", "--trace"]})
         doc = json.loads(out)
         for section in ("entries", "trace"):
             for item in doc[section]:
                 item["indices"] = [i + 0.7 for i in item["indices"]]
         run_file = write(tmp_path, "shifted.json", json.dumps(doc))
-        code, out, err = run_cli(capsys, "certify", path, "--trace-in", run_file)
+        code, out, err = replay({"argv": ["certify", path, "--trace-in", run_file]})
         message = "run file 'entries' item 1 field 'indices' item 1 is not an integer"
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
-    def test_integral_floats_still_read(self, tmp_path, capsys):
+    def test_integral_floats_still_read(self, tmp_path):
         path = problem_file(tmp_path, [[0.6, 0.4], [0.5, 0.5]])
-        _, out, _ = run_cli(capsys, "couple", path, "--alg", "2", "--trace")
+        _, out, _ = replay({"argv": ["couple", path, "--alg", "2", "--trace"]})
         run_file = write(tmp_path, "run.json", out)
-        expected = run_cli(capsys, "certify", path, "--trace-in", run_file)
+        expected = replay({"argv": ["certify", path, "--trace-in", run_file]})
         doc = json.loads(out)
         for section in ("entries", "trace"):
             for item in doc[section]:
@@ -998,7 +886,7 @@ class TestMalformedShapes:
                     item["iteration"] = float(item["iteration"])
                     item["saturated"] = [[float(a), float(s)] for a, s in item["saturated"]]
         as_floats = write(tmp_path, "floats.json", json.dumps(doc))
-        assert run_cli(capsys, "certify", path, "--trace-in", as_floats) == expected
+        assert replay({"argv": ["certify", path, "--trace-in", as_floats]}) == expected
         assert expected[0] == 0
 
 
@@ -1018,54 +906,54 @@ class TestDeepNesting:
 
     @pytest.mark.parametrize("command", ["couple", "certify", "bound"])
     @pytest.mark.parametrize("deep", [DEEP_LIST, DEEP_OBJECT], ids=["list", "object"])
-    def test_problem_file_exit_2(self, tmp_path, capsys, command, deep):
+    def test_problem_file_exit_2(self, tmp_path, command, deep):
         path = write(tmp_path, "deep.json", '{"marginals": %s}' % deep)
-        assert run_cli(capsys, command, path) == DEEP_ERROR
+        assert replay({"argv": [command, path]}) == DEEP_ERROR
 
-    def test_joint_exit_2(self, tmp_path, capsys):
+    def test_joint_exit_2(self, tmp_path):
         path = write(tmp_path, "deep.json", '{"joint": %s}' % DEEP_LIST)
-        assert run_cli(capsys, "infer", path) == DEEP_ERROR
+        assert replay({"argv": ["infer", path]}) == DEEP_ERROR
 
     @pytest.mark.parametrize(
         "text", ['{"entries": %s, "trace": []}', '{"entries": [], "trace": %s}'],
         ids=["entries", "trace"],
     )
-    def test_run_file_exit_2(self, tmp_path, capsys, text):
+    def test_run_file_exit_2(self, tmp_path, text):
         path = problem_file(tmp_path, [[0.6, 0.4], [0.5, 0.5]])
         run_file = write(tmp_path, "run.json", text % DEEP_LIST)
-        assert run_cli(capsys, "certify", path, "--trace-in", run_file) == DEEP_ERROR
+        assert replay({"argv": ["certify", path, "--trace-in", run_file]}) == DEEP_ERROR
 
-    def test_shallow_nesting_still_names_the_item(self, tmp_path, capsys):
+    def test_shallow_nesting_still_names_the_item(self, tmp_path):
         text = '{"marginals": [[%s], [0.5, 0.5]]}' % ("[" * 50 + "]" * 50)
         path = write(tmp_path, "nested.json", text)
         message = "error: 'marginals' item 1 item 1 is not a number\n"
-        assert run_cli(capsys, "couple", path) == (2, "", message)
+        assert replay({"argv": ["couple", path]}) == (2, "", message)
 
     # Malformed text, cut off by a non-value after `depth` brackets: the
     # parser of 3.13 follows 2,000 levels to the error and 600 levels parse
     # to it on every interpreter, so the text read before the error is
     # measured. Brackets inside strings before it do not count.
     @pytest.mark.parametrize("depth", [_MAX_DEPTH - 1, _MAX_DEPTH, 600, 2000])
-    def test_malformed_text_past_the_limit_exit_2(self, tmp_path, capsys, depth):
+    def test_malformed_text_past_the_limit_exit_2(self, tmp_path, depth):
         past = depth + 1 > _MAX_DEPTH
         text = '{"marginals": ' + "[" * depth + "x"
         path = write(tmp_path, "deep.json", text)
         column = len(text)
         message = f"error: Expecting value: line 1 column {column} (char {column - 1})\n"
-        assert run_cli(capsys, "couple", path) == (DEEP_ERROR if past else (2, "", message))
+        assert replay({"argv": ["couple", path]}) == (DEEP_ERROR if past else (2, "", message))
 
-    def test_closed_lists_do_not_nest(self, tmp_path, capsys):
+    def test_closed_lists_do_not_nest(self, tmp_path):
         # 600 sibling lists, each closed before the next opens: the text
         # read before the error nests 3 deep, not 602
         text = '{"marginals": [' + "[0.5]," * 600 + "x"
         path = write(tmp_path, "siblings.json", text)
         message = "error: Expecting value: line 1 column 3616 (char 3615)\n"
-        assert run_cli(capsys, "couple", path) == (2, "", message)
+        assert replay({"argv": ["couple", path]}) == (2, "", message)
 
-    def test_brackets_in_strings_do_not_nest(self, tmp_path, capsys):
+    def test_brackets_in_strings_do_not_nest(self, tmp_path):
         text = '{"note": "\\"%s", "marginals": [[x' % ("[" * 600)
         path = write(tmp_path, "strings.json", text)
-        code, _, err = run_cli(capsys, "couple", path)
+        code, _, err = replay({"argv": ["couple", path]})
         assert (code, err.startswith("error: Expecting value")) == (2, True)
 
     # Depths counting the document as 1: the CLI's limit, one past it, and
@@ -1073,25 +961,25 @@ class TestDeepNesting:
     # check fails on a nested item (marginals), and where it bounds nothing
     # (an unknown field of the problem file, an unknown key of a trace step).
     @pytest.mark.parametrize("depth", [_MAX_DEPTH, _MAX_DEPTH + 1, 700])
-    def test_the_cli_limit_holds_on_every_path(self, tmp_path, capsys, depth):
+    def test_the_cli_limit_holds_on_every_path(self, tmp_path, depth):
         past = depth > _MAX_DEPTH
         path = write(tmp_path, "deep.json", '{"marginals": %s}' % _nest(depth - 1))
         message = "error: 'marginals' item 1 item 1 is not a number\n"
-        assert run_cli(capsys, "couple", path) == (DEEP_ERROR if past else (2, "", message))
+        assert replay({"argv": ["couple", path]}) == (DEEP_ERROR if past else (2, "", message))
 
         text = '{"marginals": [[0.6, 0.4], [0.5, 0.5]], "note": %s}' % _nest(depth - 1)
         path = write(tmp_path, "note.json", text)
-        code, _, err = run_cli(capsys, "couple", path)
+        code, _, err = replay({"argv": ["couple", path]})
         assert (code, err) == ((2, DEEP_ERROR[2]) if past else (0, ""))
 
         path = problem_file(tmp_path, [[0.6, 0.4], [0.5, 0.5]])
-        _, out, _ = run_cli(capsys, "couple", path, "--alg", "2", "--trace")
-        expected = run_cli(capsys, "certify", path, "--trace-in", write(tmp_path, "run.json", out))
+        _, out, _ = replay({"argv": ["couple", path, "--alg", "2", "--trace"]})
+        expected = replay({"argv": ["certify", path, "--trace-in", write(tmp_path, "run.json", out)]})
         doc = json.loads(out)
         doc["trace"][0]["note"] = "@"
         text = json.dumps(doc).replace('"@"', _nest(depth - 3))
         run_file = write(tmp_path, "noted.json", text)
-        code, out, err = run_cli(capsys, "certify", path, "--trace-in", run_file)
+        code, out, err = replay({"argv": ["certify", path, "--trace-in", run_file]})
         assert (code, out, err) == (DEEP_ERROR if past else expected)
 
 
@@ -1208,16 +1096,10 @@ class TestDeterminism:
             ("bound", "{path}", "--alg", "2", "--oracle"),
         ],
     )
-    def test_repeat_invocations_identical(self, tmp_path, capsys, argv):
+    def test_repeat_invocations_identical(self, tmp_path, argv):
         path = problem_file(tmp_path, [[0.6, 0.3, 0.1], [0.2, 0.5, 0.3]])
         argv = [a.format(path=path) for a in argv]
-        _, first, _ = run_cli(capsys, *argv)
-        _, second, _ = run_cli(capsys, *argv)
+        _, first, _ = replay({"argv": argv})
+        _, second, _ = replay({"argv": argv})
         assert first == second
 
-    def test_floats_capped_at_12_significant_digits(self, tmp_path, capsys):
-        path = problem_file(tmp_path, [[0.6, 0.4], [0.5, 0.5]])
-        _, out, _ = run_cli(capsys, "couple", path, "--alg", "1")
-        doc = json.loads(out)
-        masses = sorted(item["mass"] for item in doc["entries"])
-        assert masses == [0.1, 0.4, 0.5]  # 0.09999999999999998 rounds away

@@ -182,3 +182,27 @@ def test_only_greedy_reads_steps():
         and node.attr in ("steps", "positive_steps", "from_steps")
     ]
     assert reads == []
+
+
+def test_only_replay_calls_main():
+    """Tests run the CLI in process through ``replay_golden.replay`` alone,
+    so no other test module refers to ``minent.cli.main``. Scripts that a
+    test runs in a subprocess are strings, which the walk does not read."""
+    tests = Path(__file__).resolve().parent
+    refs = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(tests.glob("*.py"))
+        if path.name != "replay_golden.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "minent.cli"
+            and any(alias.name == "main" for alias in node.names)
+        )
+        or (
+            isinstance(node, ast.Attribute)
+            and node.attr == "main"
+            and ast.unparse(node.value) in ("cli", "minent.cli")
+        )
+    ]
+    assert refs == []

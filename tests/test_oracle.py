@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -25,6 +24,7 @@ from minent.greedy import SOLVERS
 
 import reference_oracle
 from conftest import dirichlet_marginals, marginal_families, tied_and_tiny_families
+from reference_exact import meet_entropy, peels
 from reference_oracle import enumerate_vertices
 
 
@@ -53,26 +53,6 @@ def brute_force_vertices(p, q):
 
     walk(list(p), list(q), [])
     return found
-
-
-def support_is_acyclic(coupling) -> bool:
-    """Union-find over the bipartite support graph; a cycle closes when an
-    edge joins two cells already in the same component."""
-    n_rows, n_cols = coupling.cardinalities
-    parent = list(range(n_rows + n_cols))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for (i, j) in coupling.entries:
-        a, b = find(i - 1), find(n_rows + j - 1)
-        if a == b:
-            return False
-        parent[a] = b
-    return True
 
 
 class TestEnumerateVertices:
@@ -137,7 +117,8 @@ class TestEnumerateVertices:
             p, q = dirichlet_marginals(rng, 2, 4)
             for vertex in enumerate_vertices(p, q).vertices:
                 assert vertex.num_entries <= 2 * 4 - 1
-                assert support_is_acyclic(vertex)
+                # at m = 2, a support peels exactly when it is a forest
+                assert peels(vertex.entries)
 
     @pytest.mark.parametrize("n,repeats", [(2, 8), (3, 8), (4, 1)])
     def test_matches_unpruned_reference(self, rng, n, repeats):
@@ -416,24 +397,6 @@ class TestBranchAndBound:
 LOG2E_OVER_E = math.log2(math.e) / math.e
 
 
-def meet_entropy(p, q):
-    """Entropy of the majorization meet of p and q.
-
-    The meet's prefix sums are the pointwise minimum of the prefix sums of
-    the decreasing rearrangements; a minimum of concave sequences is
-    concave, so its differences are the meet's masses in decreasing order.
-    """
-    prefix = [
-        min(a, b)
-        for a, b in zip(
-            itertools.accumulate(sorted(p, reverse=True)),
-            itertools.accumulate(sorted(q, reverse=True)),
-        )
-    ]
-    masses = [b - a for a, b in zip([0.0] + prefix[:-1], prefix)]
-    return extended_entropy([v for v in masses if v > 0.0])
-
-
 class TestAdditiveGap:
     """``alg1`` against the exact optimum at m = 2 (ROADMAP item 3)."""
 
@@ -465,7 +428,7 @@ class TestAdditiveGap:
         q = [0.1802, 0.61, 0.2098]
         achieved = extended_entropy(greedy_coupling([p, q])[0])
         _, optimum = exact_min_entropy_2var(p, q)
-        meet = meet_entropy(p, q)
+        meet = meet_entropy([p, q])
         assert achieved == pytest.approx(2.1176, abs=1e-4)
         assert optimum == pytest.approx(2.0252, abs=1e-4)
         assert meet == pytest.approx(1.5774, abs=1e-4)
