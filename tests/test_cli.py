@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from minent import EPS_MARG, EPS_ZERO, marginalize
+from minent import EPS_MARG, EPS_ZERO, SparseCoupling, marginalize
 from minent.cli import _MAX_DEPTH, _couple_text, _is_float, _json_text
 from minent.core import coerce_marginals
 from minent.greedy import SOLVERS
@@ -40,6 +40,16 @@ def problem_file(tmp_path, marginals, name="problem.json"):
 
 
 class TestCouple:
+    def test_json_input_alg1(self, tmp_path):
+        path = problem_file(tmp_path, [[0.6, 0.4], [0.5, 0.5]])
+        code, out, _ = replay({"argv": ["couple", path, "--alg", "1"]})
+        assert code == 0
+        doc = json.loads(out)
+        assert len(doc["entries"]) == 3
+        assert doc["entropy_bits"] == pytest.approx(1.360964047443681, abs=1e-9)
+        assert doc["steps"] == 3
+        assert "phase_boundary" not in doc
+
     def test_csv_input_alg2(self, tmp_path):
         path = write(tmp_path, "problem.csv", "0.6,0.4\n0.5,0.5\n")
         code, out, _ = replay({"argv": ["couple", path, "--alg", "2"]})
@@ -64,12 +74,46 @@ class TestCouple:
         first = doc["trace"][0]
         assert set(first) == {"iteration", "indices", "mass", "saturated"}
 
+    def test_ragged_rows_exit_2(self, tmp_path):
+        path = write(tmp_path, "bad.csv", "0.5,0.5\n0.2,0.3,0.5\n")
+        code, _, err = replay({"argv": ["couple", path]})
+        assert code == 2
+        assert "lengths differ" in err
+
+    def test_malformed_json_exit_2(self, tmp_path):
+        path = write(tmp_path, "bad.json", "{not json")
+        code, _, err = replay({"argv": ["couple", path]})
+        assert code == 2
+
     def test_missing_file_exit_2(self):
         code, _, err = replay({"argv": ["couple", "/nonexistent/problem.json"]})
         assert code == 2
 
 
+    def test_round_trip_marginals(self, tmp_path):
+        marginals = [[0.6, 0.4], [0.5, 0.5]]
+        path = problem_file(tmp_path, marginals)
+        _, out, _ = replay({"argv": ["couple", path, "--alg", "2"]})
+        doc = json.loads(out)
+        entries = {
+            tuple(item["indices"]): item["mass"] for item in doc["entries"]
+        }
+        coupling = SparseCoupling(2, (2, 2), entries)
+        for axis, target in enumerate(marginals, start=1):
+            assert marginalize(coupling, axis) == pytest.approx(
+                target, abs=1e-9
+            )
+
 class TestCertify:
+    def test_certifies_fresh_run(self, tmp_path):
+        path = problem_file(tmp_path, [[0.6, 0.4], [0.5, 0.5]])
+        code, out, _ = replay({"argv": ["certify", path, "--alg", "1"]})
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["local_optimum_certified"] is True
+        assert doc["max_reconstruction_error"] < 1e-8
+        assert doc["residual_norm"] < 1e-8
+
     def test_symmetric_instance_zero_witness(self, tmp_path):
         path = problem_file(tmp_path, [[0.5, 0.5], [0.5, 0.5]])
         code, out, _ = replay({"argv": ["certify", path]})
@@ -255,6 +299,14 @@ class TestOddRunFiles:
 
 
 class TestBound:
+    def test_oracle_tightness_zero_on_worked_instance(self, tmp_path):
+        path = problem_file(tmp_path, [[0.6, 0.4], [0.5, 0.5]])
+        code, out, _ = replay({"argv": ["bound", path, "--alg", "1", "--oracle"]})
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["oracle"]["tightness"] == pytest.approx(0.0, abs=1e-9)
+        assert doc["achieved"] == pytest.approx(1.360964047443681, abs=1e-9)
+
     def test_two_level_family_file(self, tmp_path):
         path = problem_file(
             tmp_path, [[0.25] * 4, [0.375, 0.375, 0.125, 0.125]]
@@ -272,6 +324,19 @@ class TestBound:
         doc = json.loads(out)
         assert doc["residual_total"] == 0.0
         assert doc["slack"] == pytest.approx(1.0, abs=1e-9)
+
+    def test_oracle_needs_two_marginals(self, tmp_path):
+        path = problem_file(tmp_path, [[0.5, 0.5]] * 3)
+        code, _, err = replay({"argv": ["bound", path, "--oracle"]})
+        assert code == 2
+        assert "two marginals" in err
+
+    def test_oracle_size_cap_exit_4(self, tmp_path):
+        seventh = 1.0 / 7
+        path = problem_file(tmp_path, [[seventh] * 7, [seventh] * 7])
+        code, _, err = replay({"argv": ["bound", path, "--oracle"]})
+        assert code == 4
+        assert "cap" in err
 
     @pytest.mark.parametrize(
         "marginals,code,message",
@@ -311,6 +376,14 @@ class TestInfer:
         assert code == 0
         assert json.loads(out)["verdict"] == "undecided"
 
+    def test_samples_input(self, tmp_path):
+        rows = "\n".join(["1,1"] * 40 + ["1,2"] * 10 + ["2,2"] * 50)
+        path = write(tmp_path, "samples.csv", rows + "\n")
+        code, out, _ = replay({"argv": ["infer", path, "--samples"]})
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["H_X"] == pytest.approx(1.0, abs=1e-9)
+
     def test_samples_skip_blank_rows(self, tmp_path):
         rows = ["1,1"] * 4 + ["1,2", "2,2"] * 3
         plain = write(tmp_path, "plain.csv", "\n".join(rows) + "\n")
@@ -323,6 +396,11 @@ class TestInfer:
         path = write(tmp_path, "samples.csv", "\n , \n\n")
         code, out, err = replay({"argv": ["infer", path, "--samples"]})
         assert (code, out, err) == (2, "", "error: no samples in input\n")
+
+    def test_malformed_csv_exit_2(self, tmp_path):
+        path = write(tmp_path, "joint.csv", "0.5,abc\n0,0.5\n")
+        code, _, _ = replay({"argv": ["infer", path]})
+        assert code == 2
 
     @pytest.mark.parametrize(
         "text, argv, shape",
@@ -398,6 +476,21 @@ class TestInfer:
 
 
 class TestGenerate:
+    def test_special_family(self):
+        code, out, _ = replay(
+            {"argv": ["generate", "--family", "special", "--n", "4", "--alpha", "1.5"]}
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["marginals"][0] == [0.25] * 4
+        assert doc["marginals"][1] == [0.375, 0.375, 0.125, 0.125]
+        assert doc["predicted_coupling_entropy_bits"] == pytest.approx(2.5)
+
+    def test_special_family_requires_alpha(self):
+        code, _, err = replay({"argv": ["generate", "--family", "special", "--n", "4"]})
+        assert code == 2
+        assert "alpha" in err
+
     def test_random_family_seeded(self):
         args = [
             "generate", "--family", "random", "--n", "3", "--m", "2",
@@ -1103,3 +1196,9 @@ class TestDeterminism:
         _, second, _ = replay({"argv": argv})
         assert first == second
 
+    def test_floats_capped_at_12_significant_digits(self, tmp_path):
+        path = problem_file(tmp_path, [[0.6, 0.4], [0.5, 0.5]])
+        _, out, _ = replay({"argv": ["couple", path, "--alg", "1"]})
+        doc = json.loads(out)
+        masses = sorted(item["mass"] for item in doc["entries"])
+        assert masses == [0.1, 0.4, 0.5]  # 0.09999999999999998 rounds away
